@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,14 @@ def uint64(value) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
     return seed
+
+
+def job_count(value) -> int:
+    jobs = int(value)
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise argparse.ArgumentTypeError(f"jobs must be between 1 and {limit}")
+    return jobs
 
 
 def _out_dir(args) -> Path:
@@ -290,8 +299,8 @@ def build_parser():
                        help="fixed walk-noise scale (default: tuned per "
                             "regression over a log grid)")
     bench.add_argument("--kalman-kappa", type=float, default=10.0)
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for replications")
+    bench.add_argument("--jobs", type=job_count, default=1,
+                       help="worker processes for replications (1 to the CPU count)")
     _add_common(bench)
     bench.set_defaults(func=cmd_benchmark)
     submap["benchmark"] = bench

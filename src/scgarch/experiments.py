@@ -120,7 +120,11 @@ _BENCH_MODELS = (("scgarch", fit_scgarch), ("cgarch", fit_cgarch))
 
 
 def _benchmark_one(rep: int, cfg: BenchmarkConfig):
-    """Losses for one replication: {(model, scale): (mae, mse)} plus failures."""
+    """Losses for one replication: {(model, scale): (mae, mse)} plus failures.
+
+    A typed fit error, or a numpy linear-algebra or floating-point error
+    escaping a fit, is recorded as that model's failure for this replication.
+    """
     data = generate_sim2(Sim2Config(n=cfg.n, seed=cfg.seed + rep))
     losses, failures = {}, []
     for name, fitter in _BENCH_MODELS:
@@ -129,7 +133,7 @@ def _benchmark_one(rep: int, cfg: BenchmarkConfig):
             for scale in ("covariance", "correlation"):
                 rep_losses = loss_paths(result.cov_path, data.truth, scale)
                 losses[(name, scale)] = (rep_losses.mae, rep_losses.mse)
-        except ScgarchError as exc:
+        except (ScgarchError, np.linalg.LinAlgError, FloatingPointError) as exc:
             failures.append((rep, name, str(exc)))
     return losses, failures
 

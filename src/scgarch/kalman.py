@@ -2,10 +2,11 @@
 
 The measurement model is a linear regression ``y_t = x_t' phi_t + e_t``
 whose coefficient vector follows a Gaussian random walk with identity
-transition and state-noise covariance Q.  The update step is computed in
-information (precision) form, which matches the conjugate Gaussian
-posterior directly; the algebraically equivalent gain form is kept as a
-cross-check oracle in the test suite.
+transition and state-noise covariance Q.  The filter runs in gain form
+with a Joseph covariance update: with a scalar observation the gain needs
+no matrix inverse, and one pass can carry a whole grid of state-noise
+candidates.  The information-form ``kalman_update``, which matches the
+conjugate Gaussian posterior directly, is kept as the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -154,6 +155,87 @@ def kalman_update(phi_pred, p_pred, x, y: float, meas_var: float
     return phi_post, p_post
 
 
+def _checked_inputs(y, x_panel, cfg: KalmanConfig, meas_var_path):
+    """Validate one regression's data; return y, x and the (n,) variance path."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    x_panel = np.asarray(x_panel, dtype=float)
+    n = y.shape[0]
+    if n < 1:
+        raise DimensionMismatch("need at least one observation")
+    if x_panel.shape != (n, cfg.state_dim):
+        raise DimensionMismatch(
+            f"x_panel shape {x_panel.shape} does not match ({n}, {cfg.state_dim})"
+        )
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x_panel))):
+        raise ValueError("y and x_panel must be finite")
+    if meas_var_path is None:
+        return y, x_panel, np.full(n, cfg.meas_var)
+    meas_var_path = np.asarray(meas_var_path, dtype=float).reshape(n)
+    bad = np.flatnonzero(~(meas_var_path > 0))
+    if bad.size:
+        t = int(bad[0])
+        raise NonPositiveMeasurementVariance(
+            f"meas_var_path has non-positive entries (t={t}: {meas_var_path[t]})"
+        )
+    return y, x_panel, meas_var_path
+
+
+def _gain_filter(y, x_panel, phi0, p0, q, meas_var):
+    """Gain-form recursion for G state-noise covariances in one pass.
+
+    ``q`` has shape (G, d, d) and ``meas_var`` is the validated (n,) path.
+    Returns the posterior means (n, G, d), posterior covariances
+    (n, G, d, d), innovations (n, G) and prediction-error
+    log-likelihoods (G,).
+
+    With a scalar observation the update needs no inverse: the gain is
+    ``K = P_pred x / s`` with ``s = x' P_pred x + meas_var``, and the
+    Joseph form ``(I - K x') P_pred (I - K x')' + meas_var K K'`` keeps the
+    covariance symmetric positive semidefinite under rounding.  A zero
+    regressor row gives ``K = 0`` and keeps the prediction exactly.
+    Because ``meas_var > 0`` every later predicted covariance is positive
+    definite once the first one is, so the singularity check runs once,
+    on ``p0 + q``, with the jitter ``_inv_psd`` would have allowed.
+    """
+    n, d = x_panel.shape
+    eye = np.eye(d)
+    p_pred0 = p0 + q
+    jitter = 1e-10 * np.trace(p_pred0, axis1=1, axis2=2) / d
+    try:
+        np.linalg.cholesky(p_pred0 + jitter[:, None, None] * eye)
+    except np.linalg.LinAlgError as exc:
+        raise SingularPrediction(f"t=0: covariance not invertible after jitter: {exc}")
+
+    g = q.shape[0]
+    phi_path = np.empty((n, g, d))
+    p_path = np.empty((n, g, d, d))
+    pred_err = np.empty((n, g))
+    pred_var = np.empty((n, g))
+    phi = np.broadcast_to(phi0, (g, d))
+    p = p0
+    for t in range(n):
+        x = x_panel[t]
+        sv = meas_var[t]
+        p_pred = p + q
+        u = p_pred @ x
+        s = u @ x + sv
+        e = y[t] - phi @ x
+        k = u / s[:, None]
+        phi = phi + k * e[:, None]
+        a = eye - k[:, :, None] * x
+        p = a @ p_pred @ a.transpose(0, 2, 1) + sv * (k[:, :, None] * k[:, None, :])
+        p = 0.5 * (p + p.transpose(0, 2, 1))
+        phi_path[t] = phi
+        p_path[t] = p
+        pred_err[t] = e
+        pred_var[t] = s
+
+    innovations = y[:, None] - np.einsum("td,tgd->tg", x_panel, phi_path)
+    loglik = -0.5 * np.sum(LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var,
+                           axis=0)
+    return phi_path, p_path, innovations, loglik
+
+
 def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> KalmanRun:
     """Run the full predict/update recursion over one regression.
 
@@ -168,62 +250,34 @@ def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> Kalm
         Per-step measurement variances overriding ``cfg.meas_var``; used
         when re-filtering with fitted conditional variances.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    x_panel = np.asarray(x_panel, dtype=float)
-    n = y.shape[0]
-    if n < 1:
-        raise DimensionMismatch("need at least one observation")
-    if x_panel.shape != (n, cfg.state_dim):
-        raise DimensionMismatch(
-            f"x_panel shape {x_panel.shape} does not match ({n}, {cfg.state_dim})"
-        )
-    if meas_var_path is not None:
-        meas_var_path = np.asarray(meas_var_path, dtype=float).reshape(n)
-        if np.any(meas_var_path <= 0):
-            raise NonPositiveMeasurementVariance("meas_var_path has non-positive entries")
-
-    d = cfg.state_dim
-    phi_path = np.empty((n, d))
-    p_path = np.empty((n, d, d))
-    phi_pred_path = np.empty((n, d))
-    innovations = np.empty(n)
-    loglik = 0.0
-
-    phi, p = cfg.phi0, cfg.p0
-    for t in range(n):
-        phi_pred, p_pred = kalman_predict(phi, p, cfg)
-        x = x_panel[t]
-        sv = float(meas_var_path[t]) if meas_var_path is not None else cfg.meas_var
-        pred_var = float(x @ p_pred @ x) + sv
-        pred_err = y[t] - float(x @ phi_pred)
-        loglik += -0.5 * (LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var)
-        try:
-            phi, p = kalman_update(phi_pred, p_pred, x, y[t], sv)
-        except (SingularPrediction, NonPositiveMeasurementVariance) as exc:
-            raise type(exc)(f"t={t}: {exc}") from exc
-        phi_pred_path[t] = phi_pred
-        phi_path[t] = phi
-        p_path[t] = p
-        innovations[t] = y[t] - float(x @ phi)
-
-    return KalmanRun(phi_path, p_path, phi_pred_path, innovations, float(loglik))
+    y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg, meas_var_path)
+    phi_path, p_path, innovations, loglik = _gain_filter(
+        y, x_panel, cfg.phi0, cfg.p0, cfg.q[None], meas_var)
+    phi_path = phi_path[:, 0]
+    # The random walk has an identity transition: each prediction is the
+    # previous posterior mean.
+    phi_pred_path = np.vstack([cfg.phi0, phi_path[:-1]])
+    return KalmanRun(phi_path, p_path[:, 0], phi_pred_path, innovations[:, 0],
+                     float(loglik[0]))
 
 
 def tune_state_noise(y, x_panel, cfg_base: KalmanConfig, grid) -> float:
     """Pick the state-noise scale maximizing the predictive log-likelihood.
 
-    Each candidate q runs the filter with Q = q * I; ties break toward the
-    smaller q (the grid is scanned in ascending order with strict
-    improvement required).
+    Every candidate q (with Q = q * I) is filtered in one batched pass;
+    ties break toward the smaller q (the grid is scanned in ascending
+    order with strict improvement required).
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise ValueError("grid must be non-empty")
     if grid[0] < 0:
         raise ValueError("state-noise candidates must be >= 0")
+    y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg_base, None)
+    q = np.multiply.outer(grid, np.eye(cfg_base.state_dim))
+    *_, loglik = _gain_filter(y, x_panel, cfg_base.phi0, cfg_base.p0, q, meas_var)
     best_q, best_ll = None, -np.inf
-    for q in grid:
-        ll = filter_regression(y, x_panel, cfg_base.with_state_noise(q)).loglik_pe
+    for cand, ll in zip(grid, loglik):
         if ll > best_ll:
-            best_q, best_ll = q, ll
+            best_q, best_ll = cand, ll
     return best_q

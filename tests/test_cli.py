@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
-from scgarch import io
+from scgarch import experiments, io
 from scgarch.cli import main
 from scgarch.experiments import BenchmarkResult, BenchmarkRow
-from scgarch.model import TimeSeriesPanel
+from scgarch.model import TimeSeriesPanel, fit_cgarch
 
 
 def run(*argv):
@@ -161,6 +163,25 @@ class TestBenchmark:
         assert lines[0] == "model,scale,mae,mse,replications"
         assert len(lines) == 5  # two models x two scales
         assert (a / "failures.csv").read_text().strip() == "replication,model,error"
+
+    def test_linalg_error_is_a_recorded_failure(self, tmp_path, monkeypatch):
+        def singular_fit(panel, config):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(experiments, "_BENCH_MODELS",
+                            (("scgarch", singular_fit), ("cgarch", fit_cgarch)))
+        assert run("benchmark", "--replications", 2, "--n", 256,
+                   "--out-dir", tmp_path) == 0
+        failures = (tmp_path / "failures.csv").read_text().strip().splitlines()
+        assert failures[1:] == ["0,scgarch,Singular matrix", "1,scgarch,Singular matrix"]
+        rows = (tmp_path / "benchmark.csv").read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["0", "0", "2", "2"]
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_outside_cpu_range_is_exit_2(self, tmp_path, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run("benchmark", "--jobs", jobs, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        assert not (tmp_path / "benchmark.csv").exists()
 
     def test_all_failed_property(self):
         rows = [BenchmarkRow("scgarch", "covariance", float("nan"), float("nan"), 0)]

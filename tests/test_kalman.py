@@ -19,7 +19,7 @@ from scgarch.kalman import (
 
 def gain_form_update(phi_pred, p_pred, x, y, meas_var):
     """Oracle: the classic Kalman-gain update, algebraically equivalent to
-    the information form used by the implementation."""
+    the information-form ``kalman_update``."""
     s = float(x @ p_pred @ x) + meas_var
     k = (p_pred @ x) / s
     phi = phi_pred + k * (y - float(x @ phi_pred))
@@ -103,6 +103,49 @@ def test_information_form_matches_gain_form(seed, dim):
     phi_b, p_b = gain_form_update(phi_pred, p_pred, x, y, meas_var)
     np.testing.assert_allclose(phi_a, phi_b, atol=1e-9)
     np.testing.assert_allclose(p_a, p_b, atol=1e-9)
+
+
+def information_form_chain(y, x_panel, cfg, meas_var_path=None):
+    """Oracle: step-by-step ``kalman_predict`` + information-form
+    ``kalman_update``, with the prediction-error log-likelihood."""
+    n, d = x_panel.shape
+    phi_path, p_path, innovations = np.empty((n, d)), np.empty((n, d, d)), np.empty(n)
+    loglik = 0.0
+    phi, p = cfg.phi0, cfg.p0
+    for t in range(n):
+        phi_pred, p_pred = kalman_predict(phi, p, cfg)
+        x = x_panel[t]
+        sv = cfg.meas_var if meas_var_path is None else meas_var_path[t]
+        s = float(x @ p_pred @ x) + sv
+        e = y[t] - float(x @ phi_pred)
+        loglik += -0.5 * (np.log(2 * np.pi) + np.log(s) + e * e / s)
+        phi, p = kalman_update(phi_pred, p_pred, x, y[t], sv)
+        phi_path[t], p_path[t] = phi, p
+        innovations[t] = y[t] - float(x @ phi)
+    return phi_path, p_path, innovations, loglik
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       n=st.integers(1, 60), q=st.sampled_from([0.0, 1e-4, 1e-2, 0.3]),
+       with_path=st.booleans())
+def test_filter_regression_matches_information_form_chain(seed, dim, n, q, with_path):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim))
+    p0 = a @ a.T + 0.1 * np.eye(dim)
+    cfg = KalmanConfig(dim, rng.standard_normal(dim), p0, q * np.eye(dim),
+                       rng.uniform(0.1, 3.0))
+    x = rng.standard_normal((n, dim))
+    x[rng.random(n) < 0.2] = 0.0
+    y = x @ rng.standard_normal(dim) + rng.standard_normal(n)
+    path = rng.uniform(0.1, 3.0, n) if with_path else None
+    run = filter_regression(y, x, cfg, meas_var_path=path)
+    phi_path, p_path, innovations, loglik = information_form_chain(y, x, cfg, path)
+    np.testing.assert_allclose(run.phi_path, phi_path, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(run.p_path, p_path, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(run.innovations, innovations, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(run.phi_pred_path[1:], phi_path[:-1], rtol=0, atol=1e-9)
+    assert run.loglik_pe == pytest.approx(loglik, rel=1e-9)
 
 
 class TestFilterRegression:
@@ -194,6 +237,13 @@ class TestFilterRegression:
         with pytest.raises(SingularPrediction, match="t=0"):
             filter_regression([1.0], [[1.0]], cfg)
 
+    def test_rejects_non_finite_data(self):
+        cfg = scalar_cfg()
+        with pytest.raises(ValueError):
+            filter_regression([1.0, 2.0], [[1.0], [np.nan]], cfg)
+        with pytest.raises(ValueError):
+            tune_state_noise([1.0, np.inf], [[1.0], [1.0]], cfg, [0.1])
+
     def test_per_step_measurement_variance_path(self):
         rng = np.random.default_rng(17)
         n = 50
@@ -243,6 +293,31 @@ class TestTuneStateNoise:
             if tune_state_noise(y, x, cfg, grid) == 1e-2:
                 hits += 1
         assert hits >= 0.8 * reps
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]))
+    def test_batched_grid_matches_per_candidate_filters(self, seed, dim):
+        grid = [1e-1, 1e-3, 1e-5, 1e-3, 0.0]
+        rng = np.random.default_rng(seed)
+        n = 80
+        x = rng.standard_normal((n, dim))
+        phi = np.cumsum(rng.normal(0.0, rng.choice([1e-3, 0.1]), (n, dim)), axis=0)
+        y = np.sum(phi * x, axis=1) + rng.standard_normal(n)
+        cfg = KalmanConfig.default(dim, meas_var=rng.uniform(0.5, 2.0))
+        best_q, best_ll = None, -np.inf
+        for q in sorted(grid):
+            ll = filter_regression(y, x, cfg.with_state_noise(q)).loglik_pe
+            if ll > best_ll:
+                best_q, best_ll = q, ll
+        assert tune_state_noise(y, x, cfg, grid) == best_q
+
+    def test_exact_tie_goes_to_smallest(self):
+        # Zero regressors carry no information, so every candidate has the
+        # same likelihood bit for bit.
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(40)
+        cfg = KalmanConfig.default(2, meas_var=1.0)
+        assert tune_state_noise(y, np.zeros((40, 2)), cfg, [1e-2, 1.0, 1e-4, 1e-2]) == 1e-4
 
     def test_rejects_empty_or_negative_grid(self):
         with pytest.raises(ValueError):
