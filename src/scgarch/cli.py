@@ -18,6 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .evaluation import (
     DEFAULT_STABILIZATION_FRACTION,
@@ -252,7 +254,8 @@ def build_parser():
     fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-sampled"],
                      default="fixed")
     fit.add_argument("--bic-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT,
-                     help="max dimension for exhaustive ordering search")
+                     help="max dimension for exhaustive ordering search "
+                          "(p * 2**(p-1) column fits)")
     fit.add_argument("--bic-samples", type=int, default=DEFAULT_ORDERING_SAMPLES,
                      help="permutations drawn in sampled ordering search")
     fit.add_argument("--seed", type=uint64, default=0,
@@ -365,6 +368,10 @@ def main(argv=None) -> int:
             sub.set_defaults(**load_config_overrides(args.config, sub))
             args = parser.parse_args(argv)
         return args.func(args)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+        # LinAlgError subclasses ValueError, which would map it to exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (PanelFormatError, InvalidBlockSize, ConfigFileError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

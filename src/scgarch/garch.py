@@ -12,7 +12,7 @@ construction through an unconstrained reparameterization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -86,7 +86,6 @@ class GarchFit:
     converged: bool
     iterations: int
     sigma2_init: float
-    loglik_trace: np.ndarray = field(repr=False, default=None)
 
 
 def _validate_filter_inputs(eps, sigma2_init):
@@ -244,13 +243,11 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
     best = None
     for alpha0, beta0 in _FIT_STARTS:
         z0 = _to_unconstrained(v * (1.0 - alpha0 - beta0), alpha0, beta0)
-        trace = [-_neg_loglik_and_grad(z0, eps, e2, e2_lag, sigma2_init)[0]]
         steps = {"last": None, "prev_x": z0.copy()}
 
         def _track(xk):
             steps["last"] = float(np.max(np.abs(xk - steps["prev_x"])))
             steps["prev_x"] = xk.copy()
-            trace.append(-_neg_loglik_and_grad(xk, eps, e2, e2_lag, sigma2_init)[0])
 
         res = minimize(
             _neg_loglik_and_grad, z0, args=(eps, e2, e2_lag, sigma2_init),
@@ -261,9 +258,9 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
             steps["last"] is not None and steps["last"] < xtol
         )
         if best is None or res.fun < best[0].fun:
-            best = (res, converged, np.asarray(trace))
+            best = (res, converged)
 
-    res, converged, trace = best
+    res, converged = best
     omega, alpha, beta = _from_unconstrained(res.x)
     params = GarchParams(omega, alpha, beta)
     return GarchFit(
@@ -273,7 +270,6 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
         converged=converged,
         iterations=int(res.nit),
         sigma2_init=sigma2_init,
-        loglik_trace=trace,
     )
 
 

@@ -14,7 +14,7 @@ variable orderings of either model.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -195,6 +195,31 @@ def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), _MEAS_VAR_FLOOR)
 
 
+def _filter_column(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig,
+                   series: int, cfg: KalmanConfig | None = None,
+                   meas_var_path=None) -> tuple[KalmanConfig, KalmanRun]:
+    """Filter one regression of ``yj`` on the regressor columns ``xj``.
+
+    Without ``cfg`` the config is built from ``config``: the measurement
+    variance is the full-sample OLS residual variance and the state noise
+    is tuned over ``config.tune_grid`` when that is set.  Returns the
+    config used and the run; a failure is reported against ``series``.
+    """
+    try:
+        if cfg is None:
+            cfg = KalmanConfig.default(
+                xj.shape[1], meas_var=_ols_residual_variance(yj, xj),
+                kappa=config.kappa, state_noise=config.state_noise,
+            )
+            if config.tune_grid:
+                cfg = cfg.with_state_noise(
+                    tune_state_noise(yj, xj, cfg, config.tune_grid)
+                )
+        return cfg, filter_regression(yj, xj, cfg, meas_var_path=meas_var_path)
+    except ScgarchError as exc:
+        raise PipelineError("kalman", series, exc) from exc
+
+
 def extract_innovations(panel: TimeSeriesPanel, kalman_cfgs=None, *,
                         config: ScgarchConfig | None = None,
                         meas_var_paths=None):
@@ -226,38 +251,27 @@ def extract_innovations(panel: TimeSeriesPanel, kalman_cfgs=None, *,
     innovations[:, 0] = y[:, 0]
     runs: list[KalmanRun] = []
     for j in range(1, p):
-        xj, yj = y[:, :j], y[:, j]
-        try:
-            if kalman_cfgs is not None:
-                cfg = kalman_cfgs[j - 1]
-            else:
-                cfg = KalmanConfig.default(
-                    j, meas_var=_ols_residual_variance(yj, xj),
-                    kappa=config.kappa, state_noise=config.state_noise,
-                )
-                if config.tune_grid:
-                    cfg = cfg.with_state_noise(
-                        tune_state_noise(yj, xj, cfg, config.tune_grid)
-                    )
-            mv_path = None if meas_var_paths is None else meas_var_paths[j - 1]
-            run = filter_regression(yj, xj, cfg, meas_var_path=mv_path)
-        except ScgarchError as exc:
-            raise PipelineError("kalman", j + 1, exc) from exc
+        _, run = _filter_column(
+            y[:, j], y[:, :j], config, j + 1,
+            cfg=None if kalman_cfgs is None else kalman_cfgs[j - 1],
+            meas_var_path=None if meas_var_paths is None else meas_var_paths[j - 1],
+        )
         t_path[:, j, :j] = -run.phi_path
         innovations[:, j] = run.innovations
         runs.append(run)
     return t_path, innovations, runs
 
 
+def _fit_garch_column(eps: np.ndarray, config: ScgarchConfig, series: int) -> GarchFit:
+    try:
+        return garch_fit(eps, gtol=config.garch_gtol, xtol=config.garch_xtol)
+    except ScgarchError as exc:
+        raise PipelineError("garch", series, exc) from exc
+
+
 def _fit_garch_columns(innovations: np.ndarray, config: ScgarchConfig) -> list[GarchFit]:
-    fits = []
-    for j in range(innovations.shape[1]):
-        try:
-            fits.append(garch_fit(innovations[:, j],
-                                  gtol=config.garch_gtol, xtol=config.garch_xtol))
-        except ScgarchError as exc:
-            raise PipelineError("garch", j + 1, exc) from exc
-    return fits
+    return [_fit_garch_column(innovations[:, j], config, j + 1)
+            for j in range(innovations.shape[1])]
 
 
 def _assemble_cov_path(t_path: np.ndarray, d_path: np.ndarray) -> np.ndarray:
@@ -291,12 +305,16 @@ def _finalize(model, perm, t_path, innovations, runs, fits):
 MIN_FIT_PANEL_LENGTH = 50
 
 
-def _prepare(panel: TimeSeriesPanel, config: ScgarchConfig | None):
-    config = config or ScgarchConfig()
+def _check_length(panel: TimeSeriesPanel):
     if panel.n < MIN_FIT_PANEL_LENGTH:
         raise DimensionMismatch(
             f"need at least {MIN_FIT_PANEL_LENGTH} observations, got {panel.n}"
         )
+
+
+def _prepare(panel: TimeSeriesPanel, config: ScgarchConfig | None):
+    config = config or ScgarchConfig()
+    _check_length(panel)
     perm = (check_permutation(config.ordering, panel.p)
             if config.ordering is not None else tuple(range(panel.p)))
     work = panel if perm == tuple(range(panel.p)) else panel.permuted(perm)
@@ -362,8 +380,82 @@ def pick_minimum(candidates, scores) -> tuple[int, ...]:
     return best
 
 
-DEFAULT_EXHAUSTIVE_LIMIT = 6
+DEFAULT_EXHAUSTIVE_LIMIT = 8
 DEFAULT_ORDERING_SAMPLES = 200
+
+
+def _column_scorer(panel: TimeSeriesPanel, model: str, config: ScgarchConfig):
+    """Return ``score(j, preds)``: the GARCH log-likelihood of column j's
+    innovations when the columns in the frozenset ``preds`` precede it.
+
+    The likelihood depends on the set, not on the order of the
+    predecessors (isotropic prior and state noise, order-free OLS
+    measurement variance, set-determined static regression), so each
+    (j, preds) pair is fitted once, with the predecessors in ascending
+    column index, and its value is cached for the life of the scorer.
+    The fits follow ``fit_scgarch`` (including the ``two_pass`` re-filter)
+    and ``fit_cgarch`` column by column.
+    """
+    y = panel.values
+    second_moment = (y.T @ y) / panel.n
+    cache: dict[tuple[int, frozenset], float] = {}
+
+    def fit_column(j: int, preds: frozenset) -> float:
+        if not preds:
+            return _fit_garch_column(y[:, j], config, j + 1).loglik
+        idx = sorted(preds)
+        if model == "cgarch":
+            block = idx + [j]
+            try:
+                t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
+            except ScgarchError as exc:
+                raise PipelineError("static-mcd", 0, exc) from exc
+            return _fit_garch_column(y[:, block] @ t[-1], config, j + 1).loglik
+        cfg, run = _filter_column(y[:, j], y[:, idx], config, j + 1)
+        fit = _fit_garch_column(run.innovations, config, j + 1)
+        if config.two_pass:
+            # Only regressions are re-filtered: a raw column's second pass
+            # would refit the same series.
+            _, run = _filter_column(y[:, j], y[:, idx], config, j + 1, cfg=cfg,
+                                    meas_var_path=fit.sigma2_path)
+            fit = _fit_garch_column(run.innovations, config, j + 1)
+        return fit.loglik
+
+    def score(j: int, preds: frozenset) -> float:
+        key = (j, preds)
+        if key not in cache:
+            cache[key] = fit_column(j, preds)
+        return cache[key]
+
+    return score
+
+
+def _best_ordering(p: int, score) -> tuple[int, ...]:
+    """Ordering of 0..p-1 maximizing ``sum_k score(o[k], set(o[:k]))``.
+
+    Dynamic programming over predecessor sets (the order-DP of exact
+    Bayesian-network structure learning): ``g(S) = max over j not in S of
+    score(j, S) + g(S | {j})`` with ``g(all) = 0``, which calls ``score``
+    once for each of the p * 2**(p-1) pairs (j, S).  The ordering is
+    rebuilt forward from the empty set taking, at each step, the smallest
+    j whose value equals the maximum exactly, so among orderings with
+    exactly equal totals the lexicographically smallest is returned.
+    """
+    full = frozenset(range(p))
+    g = {full: 0.0}
+    choice = {}
+    for size in range(p - 1, -1, -1):
+        for placed in itertools.combinations(range(p), size):
+            placed = frozenset(placed)
+            for j in sorted(full - placed):
+                value = score(j, placed) + g[placed | {j}]
+                if placed not in choice or value > g[placed]:
+                    g[placed], choice[placed] = value, j
+    ordering, placed = [], frozenset()
+    while placed != full:
+        ordering.append(choice[placed])
+        placed = placed | {choice[placed]}
+    return tuple(ordering)
 
 
 def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
@@ -375,10 +467,14 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
 
     All candidate orderings share the same parameter count, so the ranking
     reduces to total log-likelihood; BIC is still the reported criterion.
-    Exhaustive mode enumerates all p! orderings and refuses p above
-    ``exhaustive_limit``; sampled mode scores ``n_samples`` uniformly drawn
-    permutations (seeded).  Ties break toward the lexicographically
-    smallest permutation.
+    A series' log-likelihood depends only on the set of its predecessors,
+    so both modes score columns through one cache of (series, set) fits.
+    Exhaustive mode finds the best of all p! orderings by dynamic
+    programming over predecessor sets (``_best_ordering``), at a cost of
+    p * 2**(p-1) column fits (1,024 at the default limit p = 8), and
+    refuses p above ``exhaustive_limit``; sampled mode scores
+    ``n_samples`` uniformly drawn permutations (seeded).  Ties break
+    toward the lexicographically smallest permutation.
     """
     config = config or ScgarchConfig()
     p = panel.p
@@ -390,16 +486,18 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                 f"p={p} exceeds the exhaustive limit {exhaustive_limit}; "
                 "use sampled mode"
             )
-        candidates = sorted(itertools.permutations(range(p)))
-    elif mode == "sampled":
-        rng = np.random.default_rng(seed)
-        candidates = sorted({tuple(rng.permutation(p).tolist())
-                             for _ in range(n_samples)})
-    else:
+    elif mode != "sampled":
         raise ValueError(f"unknown ordering mode {mode!r}")
+    if model not in _FITTERS:
+        raise ValueError(f"unknown model {model!r}; expected one of {sorted(_FITTERS)}")
+    _check_length(panel)
+    score = _column_scorer(panel, model, config)
+    if mode == "exhaustive":
+        return _best_ordering(p, score)
 
-    scores = []
-    for perm in candidates:
-        result = fit_model(panel, model, replace(config, ordering=perm))
-        scores.append(bic(result.total_loglik, panel.n, p))
+    rng = np.random.default_rng(seed)
+    candidates = sorted({tuple(rng.permutation(p).tolist()) for _ in range(n_samples)})
+    scores = [bic(sum(score(j, frozenset(perm[:k])) for k, j in enumerate(perm)),
+                  panel.n, p)
+              for perm in candidates]
     return pick_minimum(candidates, scores)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from scgarch import experiments, io
+from scgarch import cli, experiments, io
 from scgarch.cli import main
 from scgarch.experiments import BenchmarkResult, BenchmarkRow
 from scgarch.model import TimeSeriesPanel, fit_cgarch
@@ -94,6 +94,18 @@ class TestFit:
                        TimeSeriesPanel(np.column_stack([col, col]), ["a", "b"]))
         assert run("fit", tmp_path / "panel.csv", "--model", "cgarch",
                    "--out-dir", tmp_path) == 3
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numpy_numerical_error_is_exit_3(self, tmp_path, monkeypatch, error):
+        def failing_fit(panel, model, config):
+            raise error("Singular matrix")
+        monkeypatch.setattr(cli, "fit_model", failing_fit)
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        assert run("fit", panel_path, "--out-dir", tmp_path) == 3
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1.0,x\n")
+        assert run("fit", bad, "--out-dir", tmp_path) == 2
 
     def test_even_block_size_is_exit_2(self, tmp_path):
         run("simulate", "sim2", "--n", 64, "--out-dir", tmp_path)

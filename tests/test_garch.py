@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from scgarch.exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 from scgarch.garch import (
+    _FIT_STARTS,
     GarchParams,
     _neg_loglik_and_grad,
     _to_unconstrained,
@@ -143,12 +144,12 @@ class TestFit:
         assert np.all(fit.sigma2_path > 0)
         assert fit.params.persistence <= 1.0 - 1e-7
 
-    def test_monotone_improvement_trace(self):
+    def test_fit_improves_on_every_start(self):
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 1000, seed=3)
         fit = garch_fit(eps)
-        trace = fit.loglik_trace
-        assert len(trace) >= 2
-        assert np.all(np.diff(trace) >= -1e-9)
+        for alpha0, beta0 in _FIT_STARTS:
+            start = GarchParams(fit.sigma2_init * (1.0 - alpha0 - beta0), alpha0, beta0)
+            assert fit.loglik >= garch_loglik(start, eps, fit.sigma2_init)
 
     def test_degenerate_series(self):
         with pytest.raises(DegenerateSeries):

@@ -1,7 +1,11 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from scgarch.exceptions import DimensionMismatch, TooManyPermutations
+from scgarch import model
+from scgarch.exceptions import DimensionMismatch, PipelineError, TooManyPermutations
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
 from scgarch.model import (
     CholeskyPath,
@@ -16,6 +20,7 @@ from scgarch.model import (
     order_by_bic,
     pick_minimum,
 )
+from scgarch.model import _best_ordering
 from scgarch.simulate import Sim2Config, generate_sim2
 
 TUNED = ScgarchConfig(tune_grid=tuple(np.logspace(-6, -1, 6)))
@@ -43,6 +48,27 @@ def causal_chain_panel(n, seed):
     y2 = 0.8 * y1 + e2
     y3 = 0.7 * y2 - 0.4 * y1 + e3
     return TimeSeriesPanel(np.column_stack([y1, y2, y3]))
+
+
+def mixed_garch_panel(n, p, seed):
+    # lower-triangular mixing of GARCH innovations, columns shuffled so the
+    # generating order is not the identity
+    rng = np.random.default_rng(seed)
+    eps = np.column_stack([
+        simulate_garch(GarchParams(0.05 * (k + 1), 0.3, 0.6), n, seed=20_000 + 10 * seed + k)[0]
+        for k in range(p)
+    ])
+    mix = np.tril(rng.normal(0.0, 0.8, (p, p)), -1) + np.eye(p)
+    return TimeSeriesPanel((eps @ mix.T)[:, rng.permutation(p)])
+
+
+def brute_force_bics(panel, model_name, config):
+    candidates = sorted(itertools.permutations(range(panel.p)))
+    return candidates, [
+        bic(fit_model(panel, model_name, replace(config, ordering=perm)).total_loglik,
+            panel.n, panel.p)
+        for perm in candidates
+    ]
 
 
 class TestPanel:
@@ -226,6 +252,54 @@ class TestOrdering:
             panel = causal_chain_panel(300, seed=rep)
             hits += order_by_bic(panel) == (0, 1, 2)
         assert hits > reps / 2
+
+    @pytest.mark.parametrize("model_name", ["scgarch", "cgarch"])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_dp_matches_brute_force(self, model_name, p):
+        panel = mixed_garch_panel(200, p, seed=p)
+        candidates, bics = brute_force_bics(panel, model_name, ScgarchConfig())
+        top = sorted(bics)
+        assert top[1] - top[0] > 1e-6  # distinct scores: the argmin is well defined
+        assert order_by_bic(panel, model=model_name) == pick_minimum(candidates, bics)
+
+    def test_dp_matches_brute_force_tuned_two_pass(self):
+        panel = mixed_garch_panel(150, 3, seed=7)
+        config = replace(TUNED, two_pass=True)
+        candidates, bics = brute_force_bics(panel, "scgarch", config)
+        top = sorted(bics)
+        assert top[1] - top[0] > 1e-6
+        assert order_by_bic(panel, config) == pick_minimum(candidates, bics)
+
+    # p = 4: p * 2**(p-1) = 32 (column, predecessor set) pairs, 28 of them
+    # with predecessors, which the second pass re-filters and refits
+    @pytest.mark.parametrize("model_name, two_pass, expected", [
+        ("scgarch", False, 32), ("cgarch", False, 32), ("scgarch", True, 32 + 28),
+    ])
+    def test_search_fits_each_column_set_once(self, monkeypatch, model_name,
+                                              two_pass, expected):
+        calls = []
+
+        def counting_fit(eps, **kwargs):
+            calls.append(1)
+            return garch_fit(eps, **kwargs)
+
+        monkeypatch.setattr(model, "garch_fit", counting_fit)
+        panel = mixed_garch_panel(100, 4, seed=1)
+        order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name)
+        assert len(calls) == expected
+
+    def test_best_ordering_breaks_exact_ties_lexicographically(self):
+        # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower
+        table = {(1, frozenset()): 2.0, (2, frozenset()): 2.0,
+                 (0, frozenset({1})): 3.0, (0, frozenset({2})): 3.0}
+        assert _best_ordering(3, lambda j, s: table.get((j, s), 0.0)) == (1, 0, 2)
+        assert _best_ordering(3, lambda j, s: 0.0) == (0, 1, 2)
+
+    def test_cgarch_search_keeps_static_pd_check(self):
+        col = np.random.default_rng(4).standard_normal(100)
+        with pytest.raises(PipelineError) as exc:
+            order_by_bic(TimeSeriesPanel(np.column_stack([col, col])), model="cgarch")
+        assert exc.value.stage == "static-mcd"
 
     def test_bic_formula(self):
         assert bic(-100.0, 50, 3) == pytest.approx(200.0 + 9 * np.log(50))
