@@ -58,6 +58,13 @@ def uint64(value) -> int:
     return seed
 
 
+def positive_int(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {number}")
+    return number
+
+
 def job_count(value) -> int:
     jobs = int(value)
     limit = os.cpu_count() or 1
@@ -253,10 +260,10 @@ def build_parser():
     fit.add_argument("--model", choices=["scgarch", "cgarch"], default="scgarch")
     fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-sampled"],
                      default="fixed")
-    fit.add_argument("--bic-limit", type=int, default=DEFAULT_EXHAUSTIVE_LIMIT,
+    fit.add_argument("--bic-limit", type=positive_int, default=DEFAULT_EXHAUSTIVE_LIMIT,
                      help="max dimension for exhaustive ordering search "
                           "(p * 2**(p-1) column fits)")
-    fit.add_argument("--bic-samples", type=int, default=DEFAULT_ORDERING_SAMPLES,
+    fit.add_argument("--bic-samples", type=positive_int, default=DEFAULT_ORDERING_SAMPLES,
                      help="permutations drawn in sampled ordering search")
     fit.add_argument("--seed", type=uint64, default=0,
                      help="seed for sampled ordering search")

@@ -4,9 +4,16 @@ The measurement model is a linear regression ``y_t = x_t' phi_t + e_t``
 whose coefficient vector follows a Gaussian random walk with identity
 transition and state-noise covariance Q.  The filter runs in gain form
 with a Joseph covariance update: with a scalar observation the gain needs
-no matrix inverse, and one pass can carry a whole grid of state-noise
-candidates.  The information-form ``kalman_update``, which matches the
-conjugate Gaussian posterior directly, is kept as the test suite's oracle.
+no matrix inverse, and one pass of the private kernel carries a batch of
+independent regressions of one dimension, each with its own data, Q and
+measurement-variance path.  ``filter_regression`` is a batch of one;
+``tune_state_noise`` filters a whole grid of state-noise candidates in
+one pass and can return the winner's run from that pass, so a tuned
+regression is filtered once; the model's ordering search filters all the
+regressions of one predecessor-set size in one pass, keeping only
+innovations and log-likelihoods.  The information-form ``kalman_update``,
+which matches the conjugate Gaussian posterior directly, is kept as the
+test suite's oracle.
 """
 
 from __future__ import annotations
@@ -180,13 +187,18 @@ def _checked_inputs(y, x_panel, cfg: KalmanConfig, meas_var_path):
     return y, x_panel, meas_var_path
 
 
-def _gain_filter(y, x_panel, phi0, p0, q, meas_var):
-    """Gain-form recursion for G state-noise covariances in one pass.
+def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
+    """Gain-form recursion for a batch of B regressions of one dimension d.
 
-    ``q`` has shape (G, d, d) and ``meas_var`` is the validated (n,) path.
-    Returns the posterior means (n, G, d), posterior covariances
-    (n, G, d, d), innovations (n, G) and prediction-error
-    log-likelihoods (G,).
+    Batch element b has its own response ``y[:, b]``, regressor rows
+    ``x_panel[:, b]``, measurement-variance path ``meas_var[:, b]`` and
+    state-noise covariance ``q[b]``; ``y`` (n, B), ``x_panel`` (n, B, d)
+    and ``meas_var`` (n, B) may instead have a batch axis of length 1,
+    shared by every element, and ``q`` has shape (B, d, d).  The prior
+    ``phi0`` (d,), ``p0`` (d, d) is shared.  Returns the innovations (n, B),
+    the prediction-error log-likelihoods (B,) and, with ``keep_paths``, the
+    posterior means (n, B, d) and covariances (n, B, d, d); without it
+    both are ``None``, so a wide batch stores only (n, B) arrays.
 
     With a scalar observation the update needs no inverse: the gain is
     ``K = P_pred x / s`` with ``s = x' P_pred x + meas_var``, and the
@@ -196,8 +208,14 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var):
     Because ``meas_var > 0`` every later predicted covariance is positive
     definite once the first one is, so the singularity check runs once,
     on ``p0 + q``, with the jitter ``_inv_psd`` would have allowed.
+
+    Every product is taken per batch element over C-contiguous regressor
+    rows, so an element's result, to the last bit, depends neither on the
+    batch it is filtered in nor on the memory layout of ``x_panel``.
     """
-    n, d = x_panel.shape
+    x_panel = np.ascontiguousarray(x_panel)
+    n, _, d = x_panel.shape
+    b = q.shape[0]
     eye = np.eye(d)
     p_pred0 = p0 + q
     jitter = 1e-10 * np.trace(p_pred0, axis1=1, axis2=2) / d
@@ -206,34 +224,70 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var):
     except np.linalg.LinAlgError as exc:
         raise SingularPrediction(f"t=0: covariance not invertible after jitter: {exc}")
 
-    g = q.shape[0]
-    phi_path = np.empty((n, g, d))
-    p_path = np.empty((n, g, d, d))
-    pred_err = np.empty((n, g))
-    pred_var = np.empty((n, g))
-    phi = np.broadcast_to(phi0, (g, d))
+    x_cols = x_panel[:, :, :, None]
+    x_rows = x_panel[:, :, None, :]
+    phi_path = np.empty((n, b, d)) if keep_paths else None
+    p_path = np.empty((n, b, d, d)) if keep_paths else None
+    innovations = np.empty((n, b))
+    pred_err = np.empty((n, b))
+    pred_var = np.empty((n, b))
+    phi = np.broadcast_to(phi0[:, None], (b, d, 1))
     p = p0
     for t in range(n):
-        x = x_panel[t]
+        xc, xr = x_cols[t], x_rows[t]
         sv = meas_var[t]
         p_pred = p + q
-        u = p_pred @ x
-        s = u @ x + sv
-        e = y[t] - phi @ x
-        k = u / s[:, None]
-        phi = phi + k * e[:, None]
-        a = eye - k[:, :, None] * x
-        p = a @ p_pred @ a.transpose(0, 2, 1) + sv * (k[:, :, None] * k[:, None, :])
+        u = p_pred @ xc
+        s = (xr @ u)[:, 0, 0] + sv
+        e = y[t] - (xr @ phi)[:, 0, 0]
+        k = u / s[:, None, None]
+        phi = phi + k * e[:, None, None]
+        a = eye - k @ xr
+        p = (a @ p_pred @ a.transpose(0, 2, 1)
+             + sv[:, None, None] * (k @ k.transpose(0, 2, 1)))
         p = 0.5 * (p + p.transpose(0, 2, 1))
-        phi_path[t] = phi
-        p_path[t] = p
+        innovations[t] = y[t] - np.einsum("bd,bd->b", x_panel[t], phi[:, :, 0])
         pred_err[t] = e
         pred_var[t] = s
+        if keep_paths:
+            phi_path[t] = phi[:, :, 0]
+            p_path[t] = p
 
-    innovations = y[:, None] - np.einsum("td,tgd->tg", x_panel, phi_path)
-    loglik = -0.5 * np.sum(LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var,
-                           axis=0)
-    return phi_path, p_path, innovations, loglik
+    terms = LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var
+    # Each element's terms summed as one contiguous row: numpy then sums
+    # pairwise, as for a batch of one, instead of adding rows in turn.
+    loglik = -0.5 * np.sum(np.ascontiguousarray(terms.T), axis=1)
+    return innovations, loglik, phi_path, p_path
+
+
+def _kalman_run(phi0, innovations, loglik, phi_path, p_path, b: int) -> KalmanRun:
+    """The ``KalmanRun`` of batch element ``b`` of a ``_gain_filter`` pass."""
+    phi_path = phi_path[:, b]
+    # The random walk has an identity transition: each prediction is the
+    # previous posterior mean.
+    phi_pred_path = np.vstack([phi0, phi_path[:-1]])
+    return KalmanRun(phi_path, p_path[:, b], phi_pred_path, innovations[:, b],
+                     float(loglik[b]))
+
+
+def _checked_grid(grid) -> list[float]:
+    """Validate state-noise candidates; return them in ascending order."""
+    grid = sorted(float(g) for g in grid)
+    if not grid:
+        raise ValueError("grid must be non-empty")
+    if grid[0] < 0:
+        raise ValueError("state-noise candidates must be >= 0")
+    return grid
+
+
+def _best_candidate(loglik) -> int | None:
+    """Index of the first strict maximum of ``loglik``: scanning an
+    ascending grid with strict improvement sends ties to the smaller q."""
+    best, best_ll = None, -np.inf
+    for i, ll in enumerate(loglik):
+        if ll > best_ll:
+            best, best_ll = i, ll
+    return best
 
 
 def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> KalmanRun:
@@ -251,33 +305,27 @@ def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> Kalm
         when re-filtering with fitted conditional variances.
     """
     y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg, meas_var_path)
-    phi_path, p_path, innovations, loglik = _gain_filter(
-        y, x_panel, cfg.phi0, cfg.p0, cfg.q[None], meas_var)
-    phi_path = phi_path[:, 0]
-    # The random walk has an identity transition: each prediction is the
-    # previous posterior mean.
-    phi_pred_path = np.vstack([cfg.phi0, phi_path[:-1]])
-    return KalmanRun(phi_path, p_path[:, 0], phi_pred_path, innovations[:, 0],
-                     float(loglik[0]))
+    out = _gain_filter(y[:, None], x_panel[:, None], cfg.phi0, cfg.p0, cfg.q[None],
+                       meas_var[:, None], keep_paths=True)
+    return _kalman_run(cfg.phi0, *out, 0)
 
 
-def tune_state_noise(y, x_panel, cfg_base: KalmanConfig, grid) -> float:
+def tune_state_noise(y, x_panel, cfg_base: KalmanConfig, grid, *, full_output=False):
     """Pick the state-noise scale maximizing the predictive log-likelihood.
 
     Every candidate q (with Q = q * I) is filtered in one batched pass;
     ties break toward the smaller q (the grid is scanned in ascending
-    order with strict improvement required).
+    order with strict improvement required).  Returns the chosen q, or
+    with ``full_output`` the pair ``(q, run)`` where ``run`` is the
+    ``KalmanRun`` of that candidate from the same pass, so a tuned
+    regression is filtered only once.
     """
-    grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if grid[0] < 0:
-        raise ValueError("state-noise candidates must be >= 0")
+    grid = _checked_grid(grid)
     y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg_base, None)
     q = np.multiply.outer(grid, np.eye(cfg_base.state_dim))
-    *_, loglik = _gain_filter(y, x_panel, cfg_base.phi0, cfg_base.p0, q, meas_var)
-    best_q, best_ll = None, -np.inf
-    for cand, ll in zip(grid, loglik):
-        if ll > best_ll:
-            best_q, best_ll = cand, ll
-    return best_q
+    out = _gain_filter(y[:, None], x_panel[:, None], cfg_base.phi0, cfg_base.p0, q,
+                       meas_var[:, None], keep_paths=full_output)
+    best = _best_candidate(out[1])
+    if not full_output:
+        return None if best is None else grid[best]
+    return grid[best], _kalman_run(cfg_base.phi0, *out, best)

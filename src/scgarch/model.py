@@ -26,7 +26,15 @@ from .exceptions import (
     TooManyPermutations,
 )
 from .garch import GarchFit, garch_fit, garch_loglik
-from .kalman import KalmanConfig, KalmanRun, filter_regression, tune_state_noise
+from .kalman import (
+    KalmanConfig,
+    KalmanRun,
+    _best_candidate,
+    _checked_grid,
+    _gain_filter,
+    filter_regression,
+    tune_state_noise,
+)
 from .mcd import mcd_decompose
 
 # Floor applied to the regression-residual variance so degenerate
@@ -195,29 +203,67 @@ def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), _MEAS_VAR_FLOOR)
 
 
+def _default_config(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig
+                    ) -> KalmanConfig:
+    """Prior and fixed state noise from ``config``; the measurement variance
+    is the full-sample OLS residual variance of ``yj`` on ``xj``."""
+    return KalmanConfig.default(
+        xj.shape[1], meas_var=_ols_residual_variance(yj, xj),
+        kappa=config.kappa, state_noise=config.state_noise,
+    )
+
+
 def _filter_column(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig,
                    series: int, cfg: KalmanConfig | None = None,
                    meas_var_path=None) -> tuple[KalmanConfig, KalmanRun]:
     """Filter one regression of ``yj`` on the regressor columns ``xj``.
 
-    Without ``cfg`` the config is built from ``config``: the measurement
-    variance is the full-sample OLS residual variance and the state noise
-    is tuned over ``config.tune_grid`` when that is set.  Returns the
-    config used and the run; a failure is reported against ``series``.
+    Without ``cfg`` the config is ``_default_config``, with the state noise
+    tuned over ``config.tune_grid`` when that is set; the tuning pass's run
+    at the chosen noise is the result, unless ``meas_var_path`` asks for a
+    re-filter.  Returns the config used and the run; a failure is reported
+    against ``series``.
     """
     try:
         if cfg is None:
-            cfg = KalmanConfig.default(
-                xj.shape[1], meas_var=_ols_residual_variance(yj, xj),
-                kappa=config.kappa, state_noise=config.state_noise,
-            )
+            cfg = _default_config(yj, xj, config)
             if config.tune_grid:
-                cfg = cfg.with_state_noise(
-                    tune_state_noise(yj, xj, cfg, config.tune_grid)
-                )
+                q, run = tune_state_noise(yj, xj, cfg, config.tune_grid,
+                                          full_output=True)
+                cfg = cfg.with_state_noise(q)
+                if meas_var_path is None:
+                    return cfg, run
         return cfg, filter_regression(yj, xj, cfg, meas_var_path=meas_var_path)
     except ScgarchError as exc:
         raise PipelineError("kalman", series, exc) from exc
+
+
+def _extract(panel: TimeSeriesPanel, kalman_cfgs, config: ScgarchConfig,
+             meas_var_paths):
+    """``extract_innovations`` that also returns the configs it used."""
+    y = panel.values
+    n, p = y.shape
+    if kalman_cfgs is not None and len(kalman_cfgs) != p - 1:
+        raise DimensionMismatch(f"need {p - 1} kalman configs, got {len(kalman_cfgs)}")
+    if meas_var_paths is not None and len(meas_var_paths) != p - 1:
+        raise DimensionMismatch(f"need {p - 1} variance paths, got {len(meas_var_paths)}")
+
+    t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
+    innovations = np.empty((n, p))
+    innovations[:, 0] = y[:, 0]
+    runs: list[KalmanRun] = []
+    cfgs: list[KalmanConfig] = []
+    for j in range(1, p):
+        cfg, run = _filter_column(
+            y[:, j], y[:, :j], config, j + 1,
+            cfg=None if kalman_cfgs is None else kalman_cfgs[j - 1],
+            meas_var_path=None if meas_var_paths is None else meas_var_paths[j - 1],
+        )
+        t_path[:, j, :j] = -run.phi_path
+        innovations[:, j] = run.innovations
+        runs.append(run)
+        cfgs.append(cfg)
+    return t_path, innovations, runs, cfgs
 
 
 def extract_innovations(panel: TimeSeriesPanel, kalman_cfgs=None, *,
@@ -238,28 +284,7 @@ def extract_innovations(panel: TimeSeriesPanel, kalman_cfgs=None, *,
     variance.  ``meas_var_paths`` optionally overrides the measurement
     variance per step, one length-n array per regression.
     """
-    config = config or ScgarchConfig()
-    y = panel.values
-    n, p = y.shape
-    if kalman_cfgs is not None and len(kalman_cfgs) != p - 1:
-        raise DimensionMismatch(f"need {p - 1} kalman configs, got {len(kalman_cfgs)}")
-    if meas_var_paths is not None and len(meas_var_paths) != p - 1:
-        raise DimensionMismatch(f"need {p - 1} variance paths, got {len(meas_var_paths)}")
-
-    t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
-    innovations = np.empty((n, p))
-    innovations[:, 0] = y[:, 0]
-    runs: list[KalmanRun] = []
-    for j in range(1, p):
-        _, run = _filter_column(
-            y[:, j], y[:, :j], config, j + 1,
-            cfg=None if kalman_cfgs is None else kalman_cfgs[j - 1],
-            meas_var_path=None if meas_var_paths is None else meas_var_paths[j - 1],
-        )
-        t_path[:, j, :j] = -run.phi_path
-        innovations[:, j] = run.innovations
-        runs.append(run)
-    return t_path, innovations, runs
+    return _extract(panel, kalman_cfgs, config or ScgarchConfig(), meas_var_paths)[:3]
 
 
 def _fit_garch_column(eps: np.ndarray, config: ScgarchConfig, series: int) -> GarchFit:
@@ -325,14 +350,15 @@ def fit_scgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
                 ) -> ScgarchFitResult:
     """Two-step fit: Kalman-filtered coefficient paths, then GARCH variances."""
     config, perm, work = _prepare(panel, config)
-    t_path, innovations, runs = extract_innovations(work, config=config)
+    t_path, innovations, runs, cfgs = _extract(work, None, config, None)
     fits = _fit_garch_columns(innovations, config)
     if config.two_pass and panel.p > 1:
-        mv_paths = [fits[j].sigma2_path for j in range(1, panel.p)]
-        t_path, innovations, runs = extract_innovations(
-            work, config=config, meas_var_paths=mv_paths
-        )
-        fits = _fit_garch_columns(innovations, config)
+        # The re-filter keeps each regression's first-pass config (tuned
+        # noise included); column 0 is the raw series, so its fit stands.
+        mv_paths = [f.sigma2_path for f in fits[1:]]
+        t_path, innovations, runs, _ = _extract(work, cfgs, config, mv_paths)
+        fits = fits[:1] + [_fit_garch_column(innovations[:, j], config, j + 1)
+                           for j in range(1, panel.p)]
     return _finalize("scgarch", perm, t_path, innovations, runs, fits)
 
 
@@ -384,50 +410,96 @@ DEFAULT_EXHAUSTIVE_LIMIT = 8
 DEFAULT_ORDERING_SAMPLES = 200
 
 
-def _column_scorer(panel: TimeSeriesPanel, model: str, config: ScgarchConfig):
-    """Return ``score(j, preds)``: the GARCH log-likelihood of column j's
-    innovations when the columns in the frozenset ``preds`` precede it.
+def _column_scores(panel: TimeSeriesPanel, model: str, config: ScgarchConfig,
+                   pairs) -> dict[tuple[int, frozenset], float]:
+    """Map each (j, preds) in ``pairs`` to the GARCH log-likelihood of column
+    j's innovations when the columns in the frozenset ``preds`` precede it.
 
     The likelihood depends on the set, not on the order of the
     predecessors (isotropic prior and state noise, order-free OLS
     measurement variance, set-determined static regression), so each
-    (j, preds) pair is fitted once, with the predecessors in ascending
-    column index, and its value is cached for the life of the scorer.
-    The fits follow ``fit_scgarch`` (including the ``two_pass`` re-filter)
-    and ``fit_cgarch`` column by column.
+    distinct pair is fitted once, with the predecessors in ascending column
+    index.  The fits follow ``fit_scgarch`` (including the ``two_pass``
+    re-filter) and ``fit_cgarch`` column by column; the scgarch regressions
+    of one set size are filtered together (``_regression_logliks``).
     """
     y = panel.values
+    by_size: dict[int, list] = {}
+    for pair in dict.fromkeys(pairs):
+        by_size.setdefault(len(pair[1]), []).append(pair)
     second_moment = (y.T @ y) / panel.n
-    cache: dict[tuple[int, frozenset], float] = {}
+    scores = {}
+    for size, group in sorted(by_size.items()):
+        if size == 0:
+            logliks = [_fit_garch_column(y[:, j], config, j + 1).loglik for j, _ in group]
+        elif model == "cgarch":
+            logliks = [_static_loglik(y, second_moment, j, preds, config)
+                       for j, preds in group]
+        else:
+            logliks = _regression_logliks(y, group, config)
+        scores.update(zip(group, logliks))
+    return scores
 
-    def fit_column(j: int, preds: frozenset) -> float:
-        if not preds:
-            return _fit_garch_column(y[:, j], config, j + 1).loglik
-        idx = sorted(preds)
-        if model == "cgarch":
-            block = idx + [j]
-            try:
-                t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
-            except ScgarchError as exc:
-                raise PipelineError("static-mcd", 0, exc) from exc
-            return _fit_garch_column(y[:, block] @ t[-1], config, j + 1).loglik
-        cfg, run = _filter_column(y[:, j], y[:, idx], config, j + 1)
-        fit = _fit_garch_column(run.innovations, config, j + 1)
-        if config.two_pass:
-            # Only regressions are re-filtered: a raw column's second pass
-            # would refit the same series.
-            _, run = _filter_column(y[:, j], y[:, idx], config, j + 1, cfg=cfg,
-                                    meas_var_path=fit.sigma2_path)
-            fit = _fit_garch_column(run.innovations, config, j + 1)
-        return fit.loglik
 
-    def score(j: int, preds: frozenset) -> float:
-        key = (j, preds)
-        if key not in cache:
-            cache[key] = fit_column(j, preds)
-        return cache[key]
+def _static_loglik(y, second_moment, j: int, preds: frozenset,
+                   config: ScgarchConfig) -> float:
+    block = sorted(preds) + [j]
+    try:
+        t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
+    except ScgarchError as exc:
+        raise PipelineError("static-mcd", 0, exc) from exc
+    return _fit_garch_column(y[:, block] @ t[-1], config, j + 1).loglik
 
-    return score
+
+def _regression_logliks(y: np.ndarray, pairs, config: ScgarchConfig) -> list[float]:
+    """Scgarch scores of (j, preds) pairs that share one set size.
+
+    One kernel pass filters every pair at every state-noise candidate
+    (B = pairs x grid, a grid of one without ``tune_grid``); each pair keeps
+    its best candidate by the rule of ``tune_state_noise``.  With
+    ``two_pass`` a second pass (B = pairs) re-filters each pair at its
+    noise with its fitted variance path.  Only innovations and
+    log-likelihoods are kept.
+    """
+    targets = [j for j, _ in pairs]
+    preds = [sorted(s) for _, s in pairs]
+    cfgs = []
+    for j, idx in zip(targets, preds):
+        try:
+            cfgs.append(_default_config(y[:, j], y[:, idx], config))
+        except ScgarchError as exc:
+            raise PipelineError("kalman", j + 1, exc) from exc
+    grid = _checked_grid(config.tune_grid) if config.tune_grid else [config.state_noise]
+
+    def filter_pass(yb, xb, q, meas_var):
+        try:
+            return _gain_filter(yb, xb, cfgs[0].phi0, cfgs[0].p0, q, meas_var)[:2]
+        except ScgarchError as exc:
+            # Every pair has the same prior and candidates, so if one
+            # fails the first-prediction check they all do.
+            raise PipelineError("kalman", targets[0] + 1, exc) from exc
+
+    n, g = y.shape[0], len(grid)
+    eye = np.eye(len(preds[0]))
+    yb = y[:, targets]
+    xb = np.stack([y[:, idx] for idx in preds], axis=1)
+    meas_var = np.broadcast_to([c.meas_var for c in cfgs], (n, len(pairs)))
+    innovations, loglik = filter_pass(
+        np.repeat(yb, g, axis=1), np.repeat(xb, g, axis=1),
+        np.tile(np.multiply.outer(grid, eye), (len(pairs), 1, 1)),
+        np.repeat(meas_var, g, axis=1),
+    )
+    best = [_best_candidate(row) for row in loglik.reshape(len(pairs), g)]
+    fits = [_fit_garch_column(innovations[:, i * g + b], config, j + 1)
+            for i, (j, b) in enumerate(zip(targets, best))]
+    if config.two_pass:
+        innovations, _ = filter_pass(
+            yb, xb, np.multiply.outer([grid[b] for b in best], eye),
+            np.column_stack([f.sigma2_path for f in fits]),
+        )
+        fits = [_fit_garch_column(innovations[:, i], config, j + 1)
+                for i, j in enumerate(targets)]
+    return [f.loglik for f in fits]
 
 
 def _best_ordering(p: int, score) -> tuple[int, ...]:
@@ -473,8 +545,10 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     programming over predecessor sets (``_best_ordering``), at a cost of
     p * 2**(p-1) column fits (1,024 at the default limit p = 8), and
     refuses p above ``exhaustive_limit``; sampled mode scores
-    ``n_samples`` uniformly drawn permutations (seeded).  Ties break
-    toward the lexicographically smallest permutation.
+    ``n_samples`` (at least 1) uniformly drawn permutations (seeded).
+    Either mode first collects the (series, set) pairs it needs and fits
+    them with one batched Kalman pass per set size.  Ties break toward the
+    lexicographically smallest permutation.
     """
     config = config or ScgarchConfig()
     p = panel.p
@@ -488,16 +562,21 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
             )
     elif mode != "sampled":
         raise ValueError(f"unknown ordering mode {mode!r}")
+    elif n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if model not in _FITTERS:
         raise ValueError(f"unknown model {model!r}; expected one of {sorted(_FITTERS)}")
     _check_length(panel)
-    score = _column_scorer(panel, model, config)
     if mode == "exhaustive":
-        return _best_ordering(p, score)
+        pairs = [(j, frozenset(s)) for size in range(p)
+                 for s in itertools.combinations(range(p), size)
+                 for j in range(p) if j not in s]
+        scores = _column_scores(panel, model, config, pairs)
+        return _best_ordering(p, lambda j, s: scores[(j, s)])
 
     rng = np.random.default_rng(seed)
     candidates = sorted({tuple(rng.permutation(p).tolist()) for _ in range(n_samples)})
-    scores = [bic(sum(score(j, frozenset(perm[:k])) for k, j in enumerate(perm)),
-                  panel.n, p)
-              for perm in candidates]
-    return pick_minimum(candidates, scores)
+    paths = [[(j, frozenset(perm[:k])) for k, j in enumerate(perm)] for perm in candidates]
+    scores = _column_scores(panel, model, config, [pair for path in paths for pair in path])
+    bics = [bic(sum(scores[pair] for pair in path), panel.n, p) for path in paths]
+    return pick_minimum(candidates, bics)

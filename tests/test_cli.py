@@ -78,6 +78,18 @@ class TestFit:
         first = (out / "ordering.txt").read_text().splitlines()[0]
         assert sorted(first.split()) == ["1", "2"]
 
+    @pytest.mark.parametrize("option", ["--bic-samples", "--bic-limit"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_search_size_is_exit_2(self, tmp_path, option, value):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run("fit", panel_path, "--ordering", "bic-sampled", option, value,
+                "--out-dir", out)
+        assert exc.value.code == 2
+        assert not (out / "ordering.txt").exists()
+
     def test_missing_input_is_exit_2(self, tmp_path):
         assert run("fit", tmp_path / "nope.csv", "--out-dir", tmp_path) == 2
 

@@ -10,6 +10,7 @@ from scgarch.exceptions import (
 )
 from scgarch.kalman import (
     KalmanConfig,
+    _gain_filter,
     filter_regression,
     kalman_predict,
     kalman_update,
@@ -146,6 +147,36 @@ def test_filter_regression_matches_information_form_chain(seed, dim, n, q, with_
     np.testing.assert_allclose(run.innovations, innovations, rtol=0, atol=1e-9)
     np.testing.assert_allclose(run.phi_pred_path[1:], phi_path[:-1], rtol=0, atol=1e-9)
     assert run.loglik_pe == pytest.approx(loglik, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+       batch=st.integers(1, 5))
+def test_batched_pass_matches_separate_filters(seed, dim, batch):
+    # One kernel pass over B regressions, each with its own data, state
+    # noise and measurement-variance path, against B separate filters.
+    rng = np.random.default_rng(seed)
+    n = 60
+    cfg = KalmanConfig.default(dim, meas_var=1.0, kappa=rng.uniform(0.5, 20.0))
+    y = rng.standard_normal((n, batch))
+    x = rng.standard_normal((n, batch, dim))
+    x[rng.random((n, batch)) < 0.2] = 0.0
+    q = rng.choice([0.0, 1e-4, 1e-2, 0.3], batch)
+    meas_var = rng.uniform(0.1, 3.0, (n, batch))
+    q_batch = np.multiply.outer(q, np.eye(dim))
+    innovations, loglik, phi_path, p_path = _gain_filter(
+        y, x, cfg.phi0, cfg.p0, q_batch, meas_var, keep_paths=True)
+    for b in range(batch):
+        run = filter_regression(y[:, b], x[:, b], cfg.with_state_noise(q[b]),
+                                meas_var_path=meas_var[:, b])
+        np.testing.assert_allclose(innovations[:, b], run.innovations, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi_path[:, b], run.phi_path, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(p_path[:, b], run.p_path, rtol=0, atol=1e-12)
+        assert loglik[b] == pytest.approx(run.loglik_pe, rel=1e-12)
+    lean = _gain_filter(y, x, cfg.phi0, cfg.p0, q_batch, meas_var)
+    np.testing.assert_array_equal(lean[0], innovations)
+    np.testing.assert_array_equal(lean[1], loglik)
+    assert lean[2] is None and lean[3] is None
 
 
 class TestFilterRegression:
@@ -310,6 +341,21 @@ class TestTuneStateNoise:
             if ll > best_ll:
                 best_q, best_ll = q, ll
         assert tune_state_noise(y, x, cfg, grid) == best_q
+
+    def test_full_output_is_the_run_at_the_chosen_noise(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((120, 2))
+        y = x @ [0.4, -0.2] + rng.standard_normal(120)
+        cfg = KalmanConfig.default(2, meas_var=1.0)
+        grid = [1e-1, 1e-4, 1e-2]
+        q, run = tune_state_noise(y, x, cfg, grid, full_output=True)
+        assert q == tune_state_noise(y, x, cfg, grid)
+        ref = filter_regression(y, x, cfg.with_state_noise(q))
+        np.testing.assert_allclose(run.innovations, ref.innovations, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.phi_path, ref.phi_path, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.phi_pred_path, ref.phi_pred_path, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.p_path, ref.p_path, rtol=0, atol=1e-12)
+        assert run.loglik_pe == pytest.approx(ref.loglik_pe, rel=1e-12)
 
     def test_exact_tie_goes_to_smallest(self):
         # Zero regressors carry no information, so every candidate has the

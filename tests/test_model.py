@@ -7,6 +7,7 @@ import pytest
 from scgarch import model
 from scgarch.exceptions import DimensionMismatch, PipelineError, TooManyPermutations
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
+from scgarch.kalman import tune_state_noise
 from scgarch.model import (
     CholeskyPath,
     CovariancePath,
@@ -183,6 +184,37 @@ class TestFitScgarch:
         assert fit.cov_path.n == 300
         np.linalg.cholesky(fit.cov_path.sigmas)
 
+    def test_two_pass_reuses_first_pass_configs_and_column_0(self, monkeypatch):
+        panel = causal_chain_panel(200, seed=4)
+        config = replace(TUNED, two_pass=True)
+        # The second pass as it was: configs rebuilt and re-tuned, every
+        # column refitted.
+        _, innov, _ = extract_innovations(panel, config=config)
+        first = [garch_fit(innov[:, j]) for j in range(3)]
+        t_path, innov, _ = extract_innovations(
+            panel, config=config, meas_var_paths=[f.sigma2_path for f in first[1:]])
+        refit = [garch_fit(innov[:, j]) for j in range(3)]
+        expected_cov = model._assemble_cov_path(
+            t_path, np.column_stack([f.sigma2_path for f in refit]))
+
+        calls = {"tune": 0, "garch": 0}
+
+        def counting_tune(*args, **kwargs):
+            calls["tune"] += 1
+            return tune_state_noise(*args, **kwargs)
+
+        def counting_fit(eps, **kwargs):
+            calls["garch"] += 1
+            return garch_fit(eps, **kwargs)
+
+        monkeypatch.setattr(model, "tune_state_noise", counting_tune)
+        monkeypatch.setattr(model, "garch_fit", counting_fit)
+        fit = fit_scgarch(panel, config)
+        assert calls == {"tune": 2, "garch": 5}
+        np.testing.assert_array_equal(fit.innovations, innov)
+        np.testing.assert_array_equal(fit.cov_path.sigmas, expected_cov)
+        assert fit.total_loglik == sum(f.loglik for f in refit)
+
     def test_rejects_short_panel(self):
         with pytest.raises(DimensionMismatch):
             fit_scgarch(iid_panel(30, [1.0, 1.0], seed=0))
@@ -254,7 +286,7 @@ class TestOrdering:
         assert hits > reps / 2
 
     @pytest.mark.parametrize("model_name", ["scgarch", "cgarch"])
-    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_dp_matches_brute_force(self, model_name, p):
         panel = mixed_garch_panel(200, p, seed=p)
         candidates, bics = brute_force_bics(panel, model_name, ScgarchConfig())
@@ -287,6 +319,35 @@ class TestOrdering:
         panel = mixed_garch_panel(100, 4, seed=1)
         order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name)
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("config", [
+        ScgarchConfig(), TUNED, replace(TUNED, two_pass=True),
+    ], ids=["fixed", "tuned", "tuned-two-pass"])
+    def test_batched_scores_match_per_column_fits(self, config):
+        panel = mixed_garch_panel(150, 4, seed=3)
+        y = panel.values
+        pairs = [(j, frozenset(s)) for size in range(4)
+                 for s in itertools.combinations(range(4), size)
+                 for j in range(4) if j not in s]
+        scores = model._column_scores(panel, "scgarch", config, pairs)
+        assert len(scores) == 32
+        for j, preds in pairs:
+            idx = sorted(preds)
+            if not idx:
+                expected = garch_fit(y[:, j]).loglik
+            else:
+                cfg, run = model._filter_column(y[:, j], y[:, idx], config, j + 1)
+                fit = garch_fit(run.innovations)
+                if config.two_pass:
+                    _, run = model._filter_column(y[:, j], y[:, idx], config, j + 1,
+                                                  cfg=cfg, meas_var_path=fit.sigma2_path)
+                    fit = garch_fit(run.innovations)
+                expected = fit.loglik
+            assert scores[(j, preds)] == pytest.approx(expected, rel=1e-12)
+
+    def test_sampled_mode_needs_a_sample(self):
+        with pytest.raises(ValueError):
+            order_by_bic(causal_chain_panel(200, seed=3), mode="sampled", n_samples=0)
 
     def test_best_ordering_breaks_exact_ties_lexicographically(self):
         # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower
