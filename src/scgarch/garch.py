@@ -1,51 +1,59 @@
-"""Univariate GARCH recursion, likelihood, and constrained (1,1) fitting.
+"""Univariate GARCH(1,1) recursion, likelihood, and constrained fitting.
 
 The conditional variance recursion is
 
-    s2[t] = omega + sum_i alpha[i] * eps[t-1-i]**2 + sum_l beta[l] * s2[t-1-l]
+    s2[t] = omega + alpha * eps[t-1]**2 + beta * s2[t-1]
 
-with every pre-sample term replaced by ``sigma2_init``.  The recursion is
-defined for any arch/garch orders; maximum-likelihood fitting is provided
-for order (1,1) only, with covariance stationarity enforced by
-construction through an unconstrained reparameterization.
+with the pre-sample squared innovation and variance both replaced by
+``sigma2_init``.  Maximum-likelihood fitting works in the natural
+parameters over omega > 0, alpha >= 0, beta >= 0 and
+alpha + beta <= 1 - STATIONARITY_MARGIN.  Fisher scoring (Newton close to
+an optimum), with steps that stop short of every bound, searches from
+three fixed interior starts; a run that reaches a bound continues along
+it.  The faces beta = 0 (ARCH(1)) and alpha = 0 and the constant
+variance alpha = beta = 0 are fitted as lower-dimensional problems.  The
+candidate with the highest likelihood wins, and the fit names the face it
+lies on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.signal import lfilter
 from scipy.special import expit, logit
 
 from .exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 
-# alpha + beta is kept strictly below one by this margin during fitting.
+# alpha + beta is kept at or below one minus this margin during fitting.
 STATIONARITY_MARGIN = 1e-6
 
 MIN_FIT_LENGTH = 20
 
 
-def _as_coef_tuple(value, name: str) -> tuple[float, ...]:
+def _as_coef_tuple(value, name: str) -> tuple[float]:
     coefs = (float(value),) if np.isscalar(value) else tuple(float(v) for v in value)
-    if any(not np.isfinite(c) or c < 0 for c in coefs):
-        raise InvalidParameters(f"{name} coefficients must be finite and >= 0: {coefs}")
+    if len(coefs) != 1:
+        raise InvalidParameters(f"only GARCH(1,1) is supported: {name} = {coefs}")
+    if not np.isfinite(coefs[0]) or coefs[0] < 0:
+        raise InvalidParameters(f"{name} must be finite and >= 0: {coefs[0]}")
     return coefs
 
 
 @dataclass(frozen=True)
 class GarchParams:
-    """Variance recursion parameters (omega, alpha[], beta[]).
+    """GARCH(1,1) variance recursion parameters (omega, alpha, beta).
 
-    ``alpha`` and ``beta`` accept a scalar or a sequence; the orders are
-    their lengths (named arch/garch order here to avoid clashing with the
-    panel dimension).
+    ``alpha`` and ``beta`` accept a scalar or a one-element sequence and
+    are stored as 1-tuples; any other length raises ``InvalidParameters``.
     """
 
     omega: float
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
+    alpha: tuple[float]
+    beta: tuple[float]
 
     def __post_init__(self):
         if not (np.isfinite(self.omega) and self.omega > 0):
@@ -54,16 +62,8 @@ class GarchParams:
         object.__setattr__(self, "beta", _as_coef_tuple(self.beta, "beta"))
 
     @property
-    def arch_order(self) -> int:
-        return len(self.alpha)
-
-    @property
-    def garch_order(self) -> int:
-        return len(self.beta)
-
-    @property
     def persistence(self) -> float:
-        return sum(self.alpha) + sum(self.beta)
+        return self.alpha[0] + self.beta[0]
 
     @property
     def is_stationary(self) -> bool:
@@ -78,7 +78,16 @@ class GarchParams:
 
 @dataclass
 class GarchFit:
-    """Result of a maximum-likelihood fit on one innovation series."""
+    """Result of a maximum-likelihood fit on one innovation series.
+
+    ``boundary`` names the face of the parameter space the fit lies on:
+    ``"none"`` (interior), ``"alpha=0"``, ``"beta=0"``, ``"constant"``
+    (alpha = beta = 0) or ``"alpha+beta=1"`` (alpha + beta at the
+    stationarity bound 1 - STATIONARITY_MARGIN).  At alpha = 0, beta only
+    shapes the decay of the pre-sample transient and is not identified.
+    ``converged`` is true only when the first-order (KKT) conditions hold
+    at ``params``.
+    """
 
     params: GarchParams
     sigma2_path: np.ndarray
@@ -86,6 +95,7 @@ class GarchFit:
     converged: bool
     iterations: int
     sigma2_init: float
+    boundary: str = "none"
 
 
 def _validate_filter_inputs(eps, sigma2_init):
@@ -99,6 +109,13 @@ def _validate_filter_inputs(eps, sigma2_init):
     return eps, float(sigma2_init)
 
 
+def _lagged(x: np.ndarray, first: float) -> np.ndarray:
+    lag = np.empty_like(x)
+    lag[0] = first
+    lag[1:] = x[:-1]
+    return lag
+
+
 def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> np.ndarray:
     """Run the variance recursion over an innovation series.
 
@@ -107,24 +124,9 @@ def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> 
     is strictly positive for any valid parameters.
     """
     eps, sigma2_init = _validate_filter_inputs(eps, sigma2_init)
-    n = eps.shape[0]
-    e2 = eps * eps
-    if params.arch_order == 1 and params.garch_order == 1:
-        alpha, beta = params.alpha[0], params.beta[0]
-        e2_lag = np.empty(n)
-        e2_lag[0] = sigma2_init
-        e2_lag[1:] = e2[:-1]
-        driver = params.omega + alpha * e2_lag
-        s2, _ = lfilter([1.0], [1.0, -beta], driver, zi=[beta * sigma2_init])
-        return s2
-    s2 = np.empty(n)
-    for t in range(n):
-        acc = params.omega
-        for i, a in enumerate(params.alpha):
-            acc += a * (e2[t - 1 - i] if t - 1 - i >= 0 else sigma2_init)
-        for l, b in enumerate(params.beta):
-            acc += b * (s2[t - 1 - l] if t - 1 - l >= 0 else sigma2_init)
-        s2[t] = acc
+    beta = params.beta[0]
+    driver = params.omega + params.alpha[0] * _lagged(eps * eps, sigma2_init)
+    s2, _ = lfilter([1.0], [1.0, -beta], driver, zi=[beta * sigma2_init])
     return s2
 
 
@@ -136,16 +138,61 @@ def garch_loglik(params: GarchParams, eps, sigma2_init: float | None = None) -> 
     return float(-np.sum(np.log(s2) + eps * eps / s2))
 
 
-def _from_unconstrained(z) -> tuple[float, float, float]:
-    """Map (a, b, c) in R^3 to (omega, alpha, beta) with alpha+beta < 1."""
-    a, b, c = z
-    omega = float(np.exp(a))
-    s = (1.0 - STATIONARITY_MARGIN) * float(expit(b))
-    u = float(expit(c))
-    return omega, s * u, s * (1.0 - u)
+def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian=False):
+    """Negated log-likelihood f, its gradient, its Fisher information and,
+    with ``hessian``, its Hessian in the natural parameters
+    theta = (omega, alpha, beta).
+
+    The sensitivity paths ds2/d(omega, alpha, beta) follow the variance
+    recursion's AR(1) filter driven by 1, eps[t-1]**2 and s2[t-1], so one
+    2-D ``lfilter`` call gives all three.  With u = ds2 / s2 and
+    r = 1 - e2 / s2, the gradient is u @ r and the information is u @ u.T,
+    the expected Hessian.  The Hessian adds the observed curvature: s2 is
+    linear in omega and alpha, and its second derivatives in beta follow
+    the same filter driven by the lagged sensitivity paths.  Returns
+    ``(inf, None, None, None)`` where the path is not finite and positive,
+    and ``None`` for the Hessian when it is not asked for.
+    """
+    omega, alpha, beta = theta
+    ar = [1.0, -beta]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s2, _ = lfilter([1.0], ar, omega + alpha * e2_lag, zi=[beta * sigma2_init])
+        inv = 1.0 / s2
+        q = e2 * inv
+        # a zero, negative or infinite s2 makes f nan or inf
+        f = float(np.sum(np.log(s2) + q))
+        if not math.isfinite(f):
+            return np.inf, None, None, None
+        drivers = np.empty((3, e2.shape[0]))
+        drivers[0] = 1.0
+        drivers[1] = e2_lag
+        drivers[2, 0] = sigma2_init
+        drivers[2, 1:] = s2[:-1]
+        ds2 = lfilter([1.0], ar, drivers, axis=1)
+        u = ds2 * inv
+        r = 1.0 - q
+        grad = u @ r
+        info = u @ u.T
+        hess = None
+        if hessian:
+            drivers[:, 0] = 0.0
+            drivers[:, 1:] = ds2[:, :-1]
+            drivers[2] *= 2.0
+            cross = (lfilter([1.0], ar, drivers, axis=1) * inv) @ r
+            hess = (u * (1.0 - 2.0 * r)) @ u.T
+            hess[2] += cross
+            hess[:, 2] += cross
+            hess[2, 2] -= cross[2]
+        # a non-finite entry anywhere makes the sum nan or inf
+        if not math.isfinite(grad.sum() + info.sum() + (0.0 if hess is None else hess.sum())):
+            return np.inf, None, None, None
+    return f, grad, info, hess
 
 
 def _to_unconstrained(omega: float, alpha: float, beta: float) -> np.ndarray:
+    """(omega, alpha, beta) with alpha + beta > 0 to (log omega, logit
+    persistence, logit arch share), the inverse of the map in
+    ``_neg_loglik_and_grad``."""
     s = alpha + beta
     return np.array([
         np.log(omega),
@@ -155,65 +202,281 @@ def _to_unconstrained(omega: float, alpha: float, beta: float) -> np.ndarray:
 
 
 def _neg_loglik_and_grad(z, eps, e2, e2_lag, sigma2_init):
-    """Value and analytic gradient of the negated log-likelihood in the
-    unconstrained (a, b, c) space, via the chain rule through the variance
-    recursion (each sensitivity path is the same AR(1) filter)."""
+    """Value and gradient of the negated log-likelihood at the unconstrained
+    point z = (a, b, c), where omega = exp(a), alpha + beta =
+    (1 - STATIONARITY_MARGIN) * expit(b) and alpha / (alpha + beta) =
+    expit(c): the natural-space gradient of ``_nll_and_derivatives``
+    through the chain rule."""
     a, b, c = z
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         omega = np.exp(a)
-        sb = expit(b)
-        s = (1.0 - STATIONARITY_MARGIN) * sb
-        u = expit(c)
-        alpha, beta = s * u, s * (1.0 - u)
-
-        driver = omega + alpha * e2_lag
-        s2, _ = lfilter([1.0], [1.0, -beta], driver, zi=[beta * sigma2_init])
-        if not np.all(np.isfinite(s2)) or np.any(s2 <= 0):
-            return np.inf, np.zeros(3)
-        f = np.sum(np.log(s2) + e2 / s2)
-        if not np.isfinite(f):
-            return np.inf, np.zeros(3)
-
-        w = (s2 - e2) / (s2 * s2)
-        ar = [1.0, -beta]
-        ds2_domega, _ = lfilter([1.0], ar, np.ones_like(s2), zi=[0.0])
-        ds2_dalpha, _ = lfilter([1.0], ar, e2_lag, zi=[0.0])
-        s2_lag = np.empty_like(s2)
-        s2_lag[0] = sigma2_init
-        s2_lag[1:] = s2[:-1]
-        ds2_dbeta, _ = lfilter([1.0], ar, s2_lag, zi=[0.0])
-
-        g_omega = w @ ds2_domega
-        g_alpha = w @ ds2_dalpha
-        g_beta = w @ ds2_dbeta
-
-        ds_db = (1.0 - STATIONARITY_MARGIN) * sb * (1.0 - sb)
-        du_dc = u * (1.0 - u)
-        grad = np.array([
-            g_omega * omega,
-            (g_alpha * u + g_beta * (1.0 - u)) * ds_db,
-            (g_alpha - g_beta) * s * du_dc,
-        ])
-        if not np.all(np.isfinite(grad)):
-            return np.inf, np.zeros(3)
-    return float(f), grad
+    sb, u = expit(b), expit(c)
+    s = (1.0 - STATIONARITY_MARGIN) * sb
+    f, g, _, _ = _nll_and_derivatives((omega, s * u, s * (1.0 - u)), e2, e2_lag,
+                                      sigma2_init)
+    if g is None:
+        return np.inf, np.zeros(3)
+    grad = np.array([
+        g[0] * omega,
+        (g[1] * u + g[2] * (1.0 - u)) * s * (1.0 - sb),
+        (g[1] - g[2]) * s * u * (1.0 - u),
+    ])
+    if not np.all(np.isfinite(grad)):
+        return np.inf, np.zeros(3)
+    return f, grad
 
 
 # Fixed (alpha, beta) starting points; omega targets the sample variance.
 _FIT_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.20, 0.60))
+# alpha at the start of the beta = 0 face (ARCH(1)).
+_ARCH_START = 0.1
+# A step goes at most this fraction of the way to the nearest bound it
+# heads for, so a run never lands on a face it did not start on: a full
+# step can cross onto alpha = 0 and miss an interior optimum close to it.
+# While consecutive steps stay cut by a bound the fraction moves towards
+# one (0.5, 0.75, 0.875, ...), so a run heading for a face gets close in
+# a few steps.
+_FRACTION_TO_BOUNDARY = 0.5
+# Once a scoring step predicts less improvement of the negated
+# log-likelihood than this, a run takes Newton steps wherever the Hessian
+# is positive definite.  Scoring is robust far from an optimum; close to
+# it, Newton converges quadratically where the information and the
+# Hessian differ (a misspecified model, a flat ridge).
+_NEWTON_ZONE = 1.0
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 60
+# f is a sum of n terms; a change below this share of |f| is rounding.
+_ROUNDING = 16 * np.finfo(float).eps
+# Guards against an endless loop only; runs stop on the rules in _descend.
+_MAX_ITER = 500
+# The alpha = 0 face is nearly flat in beta and can hold several local
+# optima, so its search starts from the best point of a beta grid even in
+# log(1 - beta), from 0 to the stationarity bound, with omega profiled out.
+_ALPHA_FACE_BETAS = 1.0 - np.logspace(0.0, np.log10(STATIONARITY_MARGIN), 26)
+_PROFILE_ITER = 30
+# Coordinates free in the interior and on each face.
+_INTERIOR = (True, True, True)
+_BETA_FACE = (True, True, False)
+_ALPHA_FACE = (True, False, True)
+# A run this close to a bound is put on it: a variance path cannot tell
+# alpha = 1e-10 from alpha = 0, and a run crawling to a bound in steps
+# cut short of it would never move along it.
+_SNAP = 1e-10
+# theta this close to a bound is on it (alpha + beta = 1 - margin holds
+# only to rounding).
+_ON_BOUND = 1e-12
+
+
+def _slack(theta) -> float:
+    return (1.0 - STATIONARITY_MARGIN) - theta[1] - theta[2]
+
+
+def _reach(theta, d) -> tuple[float, list[bool]]:
+    """Largest t with theta + t * d feasible (omega > 0 included), and
+    which of the bounds alpha >= 0, beta >= 0 and alpha + beta <=
+    1 - STATIONARITY_MARGIN theta sits on while d would cross it."""
+    omega, alpha, beta = theta
+    reach = omega / -d[0] if d[0] < 0 else math.inf
+    blocked = [False, False, False]
+    for k, (dist, rate) in enumerate(((alpha, d[1]), (beta, d[2]),
+                                      (_slack(theta), -d[1] - d[2]))):
+        if rate < 0:
+            if dist <= _ON_BOUND:
+                blocked[k] = True
+            else:
+                reach = min(reach, dist / -rate)
+    return reach, blocked
+
+
+@cache
+def _moves(free: tuple[bool, ...], held: tuple[bool, ...]) -> np.ndarray:
+    """Columns spanning the moves over the coordinates ``free`` that keep
+    fixed what ``held`` holds: omega, or theta on the bound alpha >= 0,
+    beta >= 0 or alpha + beta <= 1 - STATIONARITY_MARGIN."""
+    omega_held, alpha_held, beta_held, top_held = held
+    keep = np.array(free) & np.array([not omega_held, not (alpha_held or top_held),
+                                      not (beta_held or top_held)])
+    cols = list(np.eye(3)[keep])
+    if top_held and free[1] and free[2] and not (alpha_held or beta_held):
+        cols.append(np.array([0.0, 1.0, -1.0]))
+    moves = np.array(cols).reshape(-1, 3).T
+    moves.setflags(write=False)
+    return moves
+
+
+def _direction(g, basis, info, hess) -> np.ndarray:
+    """Descent direction in the span of ``basis``: Newton where ``hess``
+    is given and positive definite there, else Fisher scoring."""
+    gz = basis.T @ g
+    if hess is not None:
+        h = basis.T @ hess @ basis
+        try:
+            np.linalg.cholesky(h)
+            return -basis @ np.linalg.solve(h, gz)
+        except np.linalg.LinAlgError:
+            pass
+    a = basis.T @ info @ basis
+    try:
+        return -basis @ np.linalg.solve(a, gz)
+    except np.linalg.LinAlgError:
+        return -basis @ (gz / np.maximum(np.diag(a), np.finfo(float).tiny))
+
+
+def _snap(theta) -> np.ndarray:
+    """theta moved onto every bound it is within ``_SNAP`` of (theta
+    itself when there is none)."""
+    near = [0.0 < x < _SNAP for x in theta[1:]]
+    if not (any(near) or _ON_BOUND < _slack(theta) < _SNAP):
+        return theta
+    theta = theta.copy()
+    theta[1:][near] = 0.0
+    if _ON_BOUND < _slack(theta) < _SNAP:
+        theta[2] = (1.0 - STATIONARITY_MARGIN) - theta[1]
+    return theta
+
+
+def _descend(objective, theta, free, gtol, xtol):
+    """Minimize ``objective`` from ``theta`` over the coordinates ``free``.
+
+    Gradients and steps are measured in (log omega, alpha, beta).  Each
+    iteration takes the scoring (later Newton) direction; where theta is
+    on a bound the direction would cross, the direction is recomputed
+    along that bound.  A step goes at most a fraction of the way to the
+    nearest bound ahead and is halved until the Armijo condition holds.
+    A run that comes within ``_SNAP`` of a bound is put on it.  The run
+    stops when the scaled gradient along the allowed moves is below
+    ``gtol`` (``stationary``), after a step that moves less than
+    ``xtol`` or, cut by a bound or by backtracking, gains no more than
+    rounding, or when no step decreases f.  Returns
+    ``(theta, f, grad, nit, stationary)``.
+    """
+    theta = np.asarray(theta, dtype=float)
+    f, g, info, hess = objective(theta)
+    near = short = False
+    nit = cuts = 0
+    while nit < _MAX_ITER:
+        scale = np.array([theta[0], 1.0, 1.0])
+        held = (False,) * 4
+        while True:
+            basis = _moves(free, held) * scale[:, None]
+            if basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < gtol:
+                return theta, f, g, nit, True
+            if short:
+                return theta, f, g, nit, False
+            d = _direction(g, basis, info, hess)
+            reach, blocked = _reach(theta, d)
+            # omega > 0 is open: omega is held once it heads for 0 in steps
+            # cut by that bound while its scaled gradient is below gtol,
+            # so that the other coordinates are not held back with it.
+            omega_cut = d[0] < 0 and _FRACTION_TO_BOUNDARY * theta[0] < -d[0]
+            blocked = (omega_cut and abs(theta[0] * g[0]) < gtol, *blocked)
+            if not any(b and not h for b, h in zip(blocked, held)):
+                break
+            held = tuple(b or h for b, h in zip(blocked, held))
+        slope = g @ d
+        if slope >= 0:
+            break
+        near = near or -slope < _NEWTON_ZONE
+        cuts = cuts + 1 if _FRACTION_TO_BOUNDARY * reach < 1.0 else 0
+        t = min(1.0, (1.0 - _FRACTION_TO_BOUNDARY ** max(cuts, 1)) * reach)
+        full = t == 1.0
+        # Below rounding, a change of f carries no information: there a
+        # step is accepted when the directional derivative shrinks, so a
+        # run whose gradient is still above gtol goes on.
+        noise = _ROUNDING * abs(f)
+        for _ in range(_MAX_HALVINGS):
+            f_new, g_new, info_new, hess_new = objective(theta + t * d, near)
+            if f_new <= f + _ARMIJO * t * slope or (
+                    f_new <= f + noise and abs(g_new @ d) < -slope):
+                break
+            t *= 0.5
+            full = False
+        else:
+            break
+        nit += 1
+        short = np.max(np.abs(t * d / scale)) < xtol or (not full and f - f_new <= noise)
+        theta = theta + t * d
+        f, g, info, hess = f_new, g_new, info_new, hess_new
+        snapped = _snap(theta)
+        if snapped is not theta:
+            theta = snapped
+            f, g, info, hess = objective(theta, near)
+            short = False
+    return theta, f, g, nit, False
+
+
+def _profiled_alpha_face(e2, sigma2_init, gtol):
+    """Best grid point (omega, 0, beta) of the alpha = 0 face.
+
+    On that face s2[t] = omega * c[t] + beta**(t+1) * sigma2_init with
+    c[t] = sum_{k<=t} beta**k, so at each grid beta omega is fitted by
+    one-dimensional Fisher scoring with no recursion.
+    """
+    exponents = np.arange(1, e2.shape[0] + 1)
+    best = (np.inf, None, None)
+    for beta in _ALPHA_FACE_BETAS:
+        powers = beta ** exponents
+        c = (1.0 - powers) / (1.0 - beta)
+        b = powers * sigma2_init
+        omega = float(np.mean(e2)) * (1.0 - beta)
+        for _ in range(_PROFILE_ITER):
+            s2 = omega * c + b
+            g = c @ ((s2 - e2) / (s2 * s2))
+            if abs(omega * g) < gtol:
+                break
+            omega = max(omega - g / np.sum((c / s2) ** 2), _FRACTION_TO_BOUNDARY * omega)
+        s2 = omega * c + b
+        f = float(np.sum(np.log(s2) + e2 / s2))
+        if f < best[0]:
+            best = (f, omega, beta)
+    return np.array([best[1], 0.0, best[2]])
+
+
+def _kkt_holds(theta, g, gtol) -> bool:
+    """First-order optimality over omega > 0, alpha, beta >= 0 and
+    alpha + beta <= 1 - STATIONARITY_MARGIN, to ``gtol`` in the scaled
+    gradient: zero gradient along every coordinate off its bounds, and
+    multipliers of the right sign on the bounds that are active."""
+    g_ab = g[1:]
+    positive = theta[1:] > 0
+    mu = -float(np.mean(g_ab[positive])) if _slack(theta) <= _ON_BOUND else 0.0
+    r = g_ab + mu
+    return bool(abs(theta[0] * g[0]) < gtol and mu > -gtol
+                and np.all(np.abs(r[positive]) < gtol) and np.all(r[~positive] > -gtol))
+
+
+def _boundary(theta) -> str:
+    omega, alpha, beta = theta
+    if alpha == 0.0:
+        return "constant" if beta == 0.0 else "alpha=0"
+    if beta == 0.0:
+        return "beta=0"
+    return "alpha+beta=1" if _slack(theta) <= _ON_BOUND else "none"
 
 
 def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
               gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
     """Fit a GARCH(1,1) model by constrained maximum likelihood.
 
-    The parameters are optimized in an unconstrained space (log omega, a
-    logistic persistence and a logistic arch share), which enforces
-    omega > 0, alpha, beta >= 0 and alpha + beta < 1 by construction.
-    Three fixed starting points are tried with BFGS; the best final value
-    wins.  ``converged`` is true when the winning run ends with gradient
-    infinity-norm below ``gtol`` or a final step shorter than ``xtol``;
-    otherwise the best point found so far is returned with the flag false.
+    The likelihood is maximized over omega > 0, alpha, beta >= 0 and
+    alpha + beta <= 1 - STATIONARITY_MARGIN in the natural parameters.
+    Candidates:
+
+    - interior runs from the three fixed ``_FIT_STARTS`` (``_descend``);
+    - the beta = 0 face (ARCH(1)), a run over (omega, alpha);
+    - the constant variance omega = mean(eps**2);
+    - the alpha = 0 face, a run over (omega, beta) from the best point of
+      a beta grid with omega profiled out.  It is solved only when an
+      interior run ends on a bound or short of a stationary point, since
+      it costs more than the other candidates together.
+
+    The candidate with the highest likelihood wins, and ``boundary``
+    names its face: ``"none"``, ``"alpha=0"``, ``"beta=0"``,
+    ``"constant"`` or ``"alpha+beta=1"``.  Gradients and steps are
+    measured in (log omega, alpha, beta): ``gtol`` bounds the scaled
+    gradient and ``xtol`` the last step of a run.  ``converged`` is true
+    only when the first-order (KKT) conditions hold at the reported point
+    to ``gtol``.  ``iterations`` counts the steps of every run.
 
     Raises
     ------
@@ -236,40 +499,33 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
 
     sigma2_init = v
     e2 = eps * eps
-    e2_lag = np.empty(n)
-    e2_lag[0] = sigma2_init
-    e2_lag[1:] = e2[:-1]
+    e2_lag = _lagged(e2, sigma2_init)
 
-    best = None
-    for alpha0, beta0 in _FIT_STARTS:
-        z0 = _to_unconstrained(v * (1.0 - alpha0 - beta0), alpha0, beta0)
-        steps = {"last": None, "prev_x": z0.copy()}
+    def objective(theta, hessian=False):
+        return _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian)
 
-        def _track(xk):
-            steps["last"] = float(np.max(np.abs(xk - steps["prev_x"])))
-            steps["prev_x"] = xk.copy()
+    runs = [_descend(objective, (v * (1.0 - a0 - b0), a0, b0), _INTERIOR, gtol, xtol)
+            for a0, b0 in _FIT_STARTS]
+    interior_done = all(run[4] and min(run[0][1], run[0][2], _slack(run[0])) > _ON_BOUND
+                        for run in runs)
+    runs.append(_descend(objective, (v * (1.0 - _ARCH_START), _ARCH_START, 0.0),
+                         _BETA_FACE, gtol, xtol))
+    constant = np.array([np.mean(e2), 0.0, 0.0])
+    runs.append((constant, *objective(constant)[:2], 0, True))
+    if not interior_done:
+        runs.append(_descend(objective, _profiled_alpha_face(e2, sigma2_init, gtol),
+                             _ALPHA_FACE, gtol, xtol))
 
-        res = minimize(
-            _neg_loglik_and_grad, z0, args=(eps, e2, e2_lag, sigma2_init),
-            method="BFGS", jac=True, callback=_track,
-            options={"gtol": gtol, "maxiter": 500},
-        )
-        converged = bool(np.max(np.abs(res.jac)) < gtol) or (
-            steps["last"] is not None and steps["last"] < xtol
-        )
-        if best is None or res.fun < best[0].fun:
-            best = (res, converged)
-
-    res, converged = best
-    omega, alpha, beta = _from_unconstrained(res.x)
-    params = GarchParams(omega, alpha, beta)
+    theta, _, g, _, _ = min(runs, key=lambda run: run[1])
+    params = GarchParams(*(float(x) for x in theta))
     return GarchFit(
         params=params,
         sigma2_path=garch_filter(params, eps, sigma2_init),
         loglik=garch_loglik(params, eps, sigma2_init),
-        converged=converged,
-        iterations=int(res.nit),
+        converged=_kkt_holds(theta, g, gtol),
+        iterations=sum(run[3] for run in runs),
         sigma2_init=sigma2_init,
+        boundary=_boundary(theta),
     )
 
 
@@ -289,23 +545,13 @@ def simulate_garch(params: GarchParams, n: int, seed=None,
     rng = np.random.default_rng(seed)
     total = n + burn
     z = rng.standard_normal(total)
-    p, q = params.arch_order, params.garch_order
-    e2_hist = [sigma2_init] * p
-    s2_hist = [sigma2_init] * q
+    omega, alpha, beta = params.omega, params.alpha[0], params.beta[0]
+    e2_prev = s2_prev = sigma2_init
     eps = np.empty(total)
     s2 = np.empty(total)
     for t in range(total):
-        var = params.omega
-        for i, a in enumerate(params.alpha):
-            var += a * e2_hist[-1 - i]
-        for l, b in enumerate(params.beta):
-            var += b * s2_hist[-1 - l]
-        s2[t] = var
-        eps[t] = np.sqrt(var) * z[t]
-        if p:
-            e2_hist.append(eps[t] * eps[t])
-            del e2_hist[0]
-        if q:
-            s2_hist.append(var)
-            del s2_hist[0]
+        s2_prev = omega + alpha * e2_prev + beta * s2_prev
+        s2[t] = s2_prev
+        eps[t] = np.sqrt(s2_prev) * z[t]
+        e2_prev = eps[t] * eps[t]
     return eps[burn:], s2[burn:]

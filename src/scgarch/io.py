@@ -119,13 +119,15 @@ def write_coeff_path(path, t_path: np.ndarray):
 
 
 def write_garch_params(path, fits, labels):
+    """One row per series.  ``boundary`` names the face the fit lies on
+    (see ``GarchFit``); at alpha = 0 the beta column is not identified."""
     rows = [
         (label, fmt(f.params.omega), fmt(f.params.alpha[0]), fmt(f.params.beta[0]),
-         fmt(f.loglik), str(bool(f.converged)).lower())
+         fmt(f.loglik), str(bool(f.converged)).lower(), f.boundary)
         for label, f in zip(labels, fits)
     ]
-    write_table(path, ["series", "omega", "alpha", "beta", "loglik", "converged"],
-                rows)
+    write_table(path, ["series", "omega", "alpha", "beta", "loglik", "converged",
+                       "boundary"], rows)
 
 
 def write_eval_report(path, report, comment: str | None = None):

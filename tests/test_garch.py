@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgarch.exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
+from scgarch.experiments import DEFAULT_TUNE_GRID
 from scgarch.garch import (
     _FIT_STARTS,
+    STATIONARITY_MARGIN,
     GarchParams,
+    _nll_and_derivatives,
     _neg_loglik_and_grad,
     _to_unconstrained,
     garch_filter,
@@ -14,13 +17,27 @@ from scgarch.garch import (
     garch_loglik,
     simulate_garch,
 )
+from scgarch.model import ScgarchConfig, fit_scgarch
+from scgarch.simulate import Sim2Config, generate_sim2
+
+# garch_fit(...).loglik on the innovations of fit_scgarch with the default
+# tuning grid, generate_sim2 seeds 0-5, three columns each, as computed by
+# the logistic-space BFGS fitter this module replaced.  The current fitter
+# must never do worse on them.
+SIM2_BFGS_LOGLIK = np.array([
+    -1729.7304573909773, -1950.599284087895, -2308.282692225308,  # seed 0
+    -1723.5405871886278, -1951.855310156564, -2293.3386850375446,  # seed 1
+    -1721.0870988154002, -2056.292056284041, -2242.563989631476,  # seed 2
+    -1744.3267828701764, -2012.8967756751604, -2292.9426113185355,  # seed 3
+    -1695.9733602557205, -2063.9839970553917, -2199.288662391466,  # seed 4
+    -1702.8111613756892, -2056.344267557526, -2237.9571502810036,  # seed 5
+])
 
 
 class TestParams:
     def test_scalar_coercion(self):
         p = GarchParams(0.1, 0.1, 0.8)
         assert p.alpha == (0.1,) and p.beta == (0.8,)
-        assert p.arch_order == p.garch_order == 1
         assert p.persistence == pytest.approx(0.9)
         assert p.unconditional_variance == pytest.approx(1.0)
 
@@ -31,6 +48,13 @@ class TestParams:
             GarchParams(0.1, -0.1, 0.8)
         with pytest.raises(InvalidParameters):
             GarchParams(0.1, 0.1, (0.4, -0.2))
+
+    def test_only_order_one_one(self):
+        assert GarchParams(0.1, (0.1,), [0.8]).beta == (0.8,)
+        with pytest.raises(InvalidParameters):
+            GarchParams(0.1, (0.1, 0.05), 0.8)
+        with pytest.raises(InvalidParameters):
+            GarchParams(0.1, 0.1, ())
 
 
 class TestFilter:
@@ -46,15 +70,6 @@ class TestFilter:
     def test_hand_recursion(self):
         s2 = garch_filter(GarchParams(0.05, 0.1, 0.85), np.array([1.0, -2.0, 0.0]), 1.0)
         np.testing.assert_allclose(s2, [1.0, 1.0, 1.30], atol=1e-15)
-
-    def test_general_order_matches_loop(self):
-        # the (1,1) fast path must agree with the generic recursion
-        rng = np.random.default_rng(0)
-        eps = rng.standard_normal(50)
-        p11 = GarchParams(0.2, 0.15, 0.7)
-        fast = garch_filter(p11, eps, 1.3)
-        slow = garch_filter(GarchParams(0.2, (0.15,), (0.7, 0.0)), eps, 1.3)
-        np.testing.assert_allclose(fast, slow[: len(fast)], atol=1e-12)
 
     def test_rejects_bad_init(self):
         with pytest.raises(InvalidParameters):
@@ -111,8 +126,115 @@ class TestGradient:
                 fd = (fp - fm) / (2 * h)
                 assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
+    @staticmethod
+    def _series():
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 500, seed=1)
+        init = float(np.var(eps))
+        e2 = eps * eps
+        return eps, init, e2, np.r_[init, e2[:-1]]
+
+    @staticmethod
+    def _points(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            s = rng.uniform(0.2, 0.98)
+            u = rng.uniform(0.05, 0.95)
+            yield np.array([rng.uniform(0.02, 1.0), s * u, s * (1 - u)])
+
+    def test_natural_gradient_matches_central_differences(self):
+        eps, init, e2, e2_lag = self._series()
+
+        def nll(theta):
+            return -garch_loglik(GarchParams(*theta), eps, init)
+
+        for theta in self._points(5):
+            _, grad, _, _ = _nll_and_derivatives(theta, e2, e2_lag, init)
+            for k in range(3):
+                step = np.zeros(3)
+                step[k] = 1e-6 * theta[k]
+                fd = (nll(theta + step) - nll(theta - step)) / (2 * step[k])
+                assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    def test_information_is_outer_product_of_filter_differences(self):
+        eps, init, e2, e2_lag = self._series()
+        for theta in self._points(6):
+            _, _, info, _ = _nll_and_derivatives(theta, e2, e2_lag, init)
+            s2 = garch_filter(GarchParams(*theta), eps, init)
+            ds2 = np.empty((3, eps.shape[0]))
+            for k in range(3):
+                step = np.zeros(3)
+                step[k] = 1e-6 * theta[k]
+                ds2[k] = (garch_filter(GarchParams(*(theta + step)), eps, init)
+                          - garch_filter(GarchParams(*(theta - step)), eps, init)) / (2 * step[k])
+            np.testing.assert_allclose(info, (ds2 / s2 ** 2) @ ds2.T, rtol=1e-6)
+
+    def test_hessian_matches_differences_of_the_gradient(self):
+        _, init, e2, e2_lag = self._series()
+        for theta in self._points(7):
+            _, _, _, hess = _nll_and_derivatives(theta, e2, e2_lag, init, hessian=True)
+            fd = np.empty((3, 3))
+            for k in range(3):
+                step = np.zeros(3)
+                step[k] = 1e-6 * theta[k]
+                fd[:, k] = (_nll_and_derivatives(theta + step, e2, e2_lag, init)[1]
+                            - _nll_and_derivatives(theta - step, e2, e2_lag, init)[1]) / (2 * step[k])
+            np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-6 * np.abs(fd).max())
+
+
+@pytest.fixture(scope="module")
+def sim2_fits():
+    config = ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
+    fits = []
+    for seed in range(6):
+        fits += fit_scgarch(generate_sim2(Sim2Config(seed=seed)).panel, config).garch_fits
+    return fits
+
 
 class TestFit:
+    def test_never_below_bfgs_on_sim2_innovations(self, sim2_fits):
+        logliks = np.array([fit.loglik for fit in sim2_fits])
+        assert np.all(logliks >= SIM2_BFGS_LOGLIK - 1e-6)
+
+    def test_boundary_names_the_face(self, sim2_fits):
+        for fit in sim2_fits:
+            alpha, beta = fit.params.alpha[0], fit.params.beta[0]
+            expected = {(True, True): "constant", (True, False): "alpha=0",
+                        (False, True): "beta=0", (False, False): "none"}
+            assert fit.boundary == expected[(alpha == 0.0, beta == 0.0)]
+            assert fit.converged
+
+    def test_flat_ridge_lands_on_alpha_zero(self, sim2_fits):
+        # generate_sim2 seed 1, series 2: BFGS stopped at alpha = 6.7e-3,
+        # beta = 0.17 and reported convergence
+        fit = sim2_fits[5]
+        assert fit.params.alpha[0] == 0.0
+        assert fit.boundary == "alpha=0" and fit.converged
+        assert fit.loglik >= SIM2_BFGS_LOGLIK[5] + 0.04
+
+    def test_trending_variance_lands_on_persistence_bound(self):
+        rng = np.random.default_rng(0)
+        eps = rng.standard_normal(300) * np.linspace(0.5, 3.0, 300)
+        fit = garch_fit(eps)
+        assert fit.boundary == "alpha+beta=1" and fit.converged
+        assert fit.params.persistence == pytest.approx(1.0 - STATIONARITY_MARGIN, abs=1e-12)
+        assert fit.params.alpha[0] > 0 and fit.params.beta[0] > 0
+        assert fit.loglik >= -628.8478529230226 - 1e-6  # the BFGS fitter's value
+
+    def test_constant_variance(self):
+        eps = np.array([-1.8172, -1.17278, 0.144802, 0.677103, 0.833362, -0.405274,
+                        0.385397, 1.35427, 0.789756, 1.05318, 0.662829, -0.470152,
+                        0.5486, 1.52535, 0.474244, -1.1491, -0.708575, 0.682958,
+                        1.15277, 1.2951])
+        fit = garch_fit(eps)
+        assert fit.boundary == "constant" and fit.converged
+        assert fit.params.omega == pytest.approx(np.mean(eps * eps), rel=1e-12)
+
+    def test_converged_only_where_kkt_holds(self):
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 1000, seed=3)
+        assert garch_fit(eps).converged
+        # runs stopped by a coarse step tolerance end short of gtol
+        assert not garch_fit(eps, gtol=1e-12, xtol=1e-2).converged
+
     def test_recovers_simulated_parameters(self):
         errs = []
         for seed in range(10):
@@ -169,6 +291,18 @@ class TestSimulate:
         params = GarchParams(0.05, 0.1, 0.85)
         _, s2 = simulate_garch(params, 100_000, seed=123)
         assert abs(s2.mean() - params.unconditional_variance) < 0.05
+
+    def test_draws_match_recorded_values(self):
+        # eps[-1], s2[-1] and sum(eps), recorded from the general-order
+        # recursion the (1,1) loop replaced: the draws are bit-identical
+        recorded = {
+            0: (-1.743966425493618, 2.0393231094684854, -5.746985140125256),
+            1: (0.3129118599889853, 0.9278026676606037, -8.210996188232684),
+            2: (0.8750691101993368, 1.3251926342203786, -2.0660150198426366),
+        }
+        for seed, (last_eps, last_s2, total) in recorded.items():
+            eps, s2 = simulate_garch(GarchParams(0.1, 0.1, 0.8), 50, seed=seed)
+            assert (eps[-1], s2[-1], eps.sum()) == (last_eps, last_s2, total)
 
     def test_deterministic(self):
         a = simulate_garch(GarchParams(0.1, 0.1, 0.8), 100, seed=5)

@@ -3,6 +3,7 @@ import pytest
 
 from scgarch import io
 from scgarch.exceptions import PanelFormatError
+from scgarch.garch import GarchFit, GarchParams
 from scgarch.model import CovariancePath, TimeSeriesPanel
 
 
@@ -63,3 +64,15 @@ def test_config_echo_is_sorted_key_value(tmp_path):
     path = tmp_path / "config.echo"
     io.write_config_echo(path, {"b": 2, "a": 0.5, "c": [1, 2], "d": "x"})
     assert path.read_text() == "a=0.5\nb=2\nc=1 2\nd=x\n"
+
+
+def test_garch_params_name_the_boundary(tmp_path):
+    fits = [GarchFit(GarchParams(0.5, 0.0, 0.3), np.ones(3), -3.0, True, 4, 1.0, "alpha=0"),
+            GarchFit(GarchParams(0.2, 0.1, 0.8), np.ones(3), -2.5, False, 9, 1.0)]
+    path = tmp_path / "garch_params.csv"
+    io.write_garch_params(path, fits, ["y1", "y2"])
+    assert path.read_text().splitlines() == [
+        "series,omega,alpha,beta,loglik,converged,boundary",
+        "y1,0.5,0,0.29999999999999999,-3,true,alpha=0",
+        "y2,0.20000000000000001,0.10000000000000001,0.80000000000000004,-2.5,false,none",
+    ]
