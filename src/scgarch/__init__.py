@@ -19,7 +19,7 @@ from .evaluation import (
 from .exceptions import ScgarchError
 from .garch import GarchFit, GarchParams, garch_filter, garch_fit, garch_loglik, simulate_garch
 from .kalman import KalmanConfig, KalmanRun, filter_regression, kalman_predict, kalman_update, tune_state_noise
-from .mcd import cov_to_corr, mcd_decompose, mcd_reconstruct
+from .mcd import mcd_decompose, mcd_reconstruct
 from .model import (
     CholeskyPath,
     CovariancePath,
@@ -59,7 +59,6 @@ __all__ = [
     "Sim2Config",
     "TimeSeriesPanel",
     "bic",
-    "cov_to_corr",
     "extract_innovations",
     "filter_regression",
     "fit_cgarch",

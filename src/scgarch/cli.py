@@ -107,9 +107,8 @@ def cmd_simulate(args) -> int:
     else:
         data = generate_sim1(Sim1Config(n=args.n, q_true=args.q_true,
                                         meas_var=args.meas_var, seed=args.seed))
-        io.write_table(out / "panel.csv", ["y", "x", "phi_true"],
-                       ((io.fmt(y), io.fmt(x), io.fmt(p))
-                        for y, x, p in zip(data.y, data.x, data.phi_true)))
+        io.write_columns(out / "panel.csv", ["y", "x", "phi_true"],
+                         np.column_stack([data.y, data.x, data.phi_true]))
         print(f"wrote panel.csv ({args.n} rows: y, x, phi_true)")
     _echo(args, out)
     return EXIT_OK

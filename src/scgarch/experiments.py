@@ -7,6 +7,7 @@ independent and can be distributed over worker processes.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -49,6 +50,12 @@ class Sim1BiasConfig:
     kappa: float = 10.0
 
 
+def _check_jobs(jobs: int):
+    limit = os.cpu_count() or 1
+    if not 1 <= jobs <= limit:
+        raise ValueError(f"jobs must be between 1 and {limit}, got {jobs}")
+
+
 def _sim1_single_bias(n: int, seed: int, cfg: Sim1BiasConfig) -> float:
     data = generate_sim1(Sim1Config(n=n, q_true=cfg.q_true,
                                     meas_var=cfg.meas_var, seed=seed))
@@ -64,9 +71,11 @@ def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
     """Mean terminal bias per sample size, averaged over replications.
 
     Replication ``r`` of the ``i``-th sample size uses seed
-    ``base_seed + i * replications + r``.
+    ``base_seed + i * replications + r``.  ``jobs`` worker processes
+    (1 to the CPU count) share the replications.
     """
     cfg = cfg or Sim1BiasConfig()
+    _check_jobs(jobs)
     tasks = [(n, cfg.base_seed + i * cfg.replications + r)
              for i, n in enumerate(cfg.sizes) for r in range(cfg.replications)]
     ns = [n for n, _ in tasks]
@@ -142,13 +151,15 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
                   ) -> BenchmarkResult:
     """Fit both models on fresh panels and score them against the truth.
 
-    Replication ``r`` uses seed ``seed + r``.  Per-replication failures
+    Replication ``r`` uses seed ``seed + r``, and ``jobs`` worker
+    processes (1 to the CPU count) share them.  Per-replication failures
     are recorded and the run continues; a model's league-table row
     averages over its successful replications only.
     """
     cfg = cfg or BenchmarkConfig()
     if cfg.replications < 1:
         raise ValueError("need at least one replication")
+    _check_jobs(jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_benchmark_one, range(cfg.replications),

@@ -4,6 +4,15 @@ Floats are serialized with 17 significant digits so a write/read
 round-trip reproduces values exactly.  Matrix paths use a long format
 ``t,i,j,value`` with 1-based indices; panels are wide (one header row of
 labels, one row per time step).
+
+Everything that grows with the number of time steps (panels, covariance,
+correlation and coefficient paths, per-step loss reports) is written a
+chunk of time steps at a time: each step's lines are one ``%``-template
+filled from that step's values, so no per-entry Python call is made and
+no whole file is held in memory.  ``"%.17g" % v`` and ``fmt(v)`` use the
+same float-to-string routine and ``csv.writer`` never quotes a number,
+so the bytes are those ``csv.writer`` writes, ``\r\n`` line ends included.
+Small tables go through ``write_table``.
 """
 
 from __future__ import annotations
@@ -21,6 +30,11 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# Time steps formatted per write.  A p = 6 chunk is about 70 KB of text;
+# larger chunks are no faster and raise the peak memory of a write.
+_CHUNK_STEPS = 64
+
+
 def write_table(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -28,9 +42,44 @@ def write_table(path, header, rows):
         writer.writerows(rows)
 
 
+def _write_steps(fh, values: np.ndarray, step_text):
+    """Write ``step_text(t, row)`` for each row of ``values`` (t 1-based),
+    one joined string per chunk of time steps."""
+    for start in range(0, len(values), _CHUNK_STEPS):
+        block = values[start:start + _CHUNK_STEPS].tolist()
+        fh.write("".join([step_text(t, row)
+                          for t, row in enumerate(block, start + 1)]))
+
+
+def _write_long(path, header, pairs, values: np.ndarray):
+    """Long format: a ``t,a,b,value`` line per step t and index pair (a, b).
+
+    ``values`` is (n, len(pairs)), column m holding pair m's values.
+    """
+    template = "".join(f"%s{a},{b},%.17g\r\n" for a, b in pairs)
+    width = 2 * len(pairs)
+
+    def step_text(t, row):
+        args = [f"{t},"] * width
+        args[1::2] = row
+        return template % tuple(args)
+
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_steps(fh, values, step_text)
+
+
+def write_columns(path, header, values):
+    """Wide format: one line per row of the 2-D array ``values``."""
+    values = np.asarray(values, dtype=float)
+    template = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        _write_steps(fh, values, lambda t, row: template % tuple(row))
+
+
 def write_panel(path, panel: TimeSeriesPanel):
-    write_table(path, panel.labels,
-                ([fmt(v) for v in row] for row in panel.values))
+    write_columns(path, panel.labels, panel.values)
 
 
 def read_panel(path) -> TimeSeriesPanel:
@@ -65,12 +114,9 @@ def read_panel(path) -> TimeSeriesPanel:
 
 def write_cov_path(path, cov: CovariancePath):
     """Long format: t,i,j,value with 1-based indices, all p*p entries."""
-    def rows():
-        for t in range(cov.n):
-            for i in range(cov.p):
-                for j in range(cov.p):
-                    yield (t + 1, i + 1, j + 1, fmt(cov.sigmas[t, i, j]))
-    write_table(path, ["t", "i", "j", "value"], rows())
+    n, p, _ = cov.sigmas.shape
+    pairs = [(i + 1, j + 1) for i in range(p) for j in range(p)]
+    _write_long(path, ["t", "i", "j", "value"], pairs, cov.sigmas.reshape(n, p * p))
 
 
 def read_cov_path(path) -> CovariancePath:
@@ -109,13 +155,8 @@ def write_coeff_path(path, t_path: np.ndarray):
     ``phi`` is the coefficient itself, the negated strict-lower entry of
     the unit-lower-triangular factor.
     """
-    n, p, _ = t_path.shape
-    def rows():
-        for t in range(n):
-            for j in range(1, p):
-                for k in range(j):
-                    yield (t + 1, j + 1, k + 1, fmt(-t_path[t, j, k]))
-    write_table(path, ["t", "j", "k", "phi"], rows())
+    j, k = np.tril_indices(t_path.shape[1], -1)
+    _write_long(path, ["t", "j", "k", "phi"], list(zip(j + 1, k + 1)), -t_path[:, j, k])
 
 
 def write_garch_params(path, fits, labels):
@@ -137,8 +178,8 @@ def write_eval_report(path, report, comment: str | None = None):
             fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "mae", "mse"])
-        for t, (mae, mse) in enumerate(zip(report.mae_path, report.mse_path), 1):
-            writer.writerow([t, fmt(mae), fmt(mse)])
+        _write_steps(fh, np.column_stack([report.mae_path, report.mse_path]),
+                     lambda t, row: "%d,%.17g,%.17g\r\n" % (t, *row))
         writer.writerow(["mean", fmt(report.mae), fmt(report.mse)])
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .exceptions import DimensionMismatch, NonPositiveDiagonal, NotPositiveDefinite
+from .exceptions import DimensionMismatch, NotPositiveDefinite
 
 # Relative floor for the smallest eigenvalue in the PD test: scale-free,
 # so well-conditioned matrices with large entries are not rejected.
@@ -95,21 +95,3 @@ def mcd_reconstruct(t, d) -> np.ndarray:
     tinv = solve_triangular(t, np.eye(t.shape[0]), lower=True, unit_diagonal=True)
     sigma = (tinv * d) @ tinv.T
     return 0.5 * (sigma + sigma.T)
-
-
-def cov_to_corr(sigma) -> np.ndarray:
-    """Rescale a covariance matrix to a correlation matrix.
-
-    Raises
-    ------
-    NonPositiveDiagonal
-        If any variance on the diagonal is not strictly positive.
-    """
-    a = as_sym_matrix(sigma)
-    v = np.diag(a)
-    if np.any(v <= 0):
-        raise NonPositiveDiagonal("diagonal entries must be strictly positive")
-    s = 1.0 / np.sqrt(v)
-    corr = a * np.outer(s, s)
-    np.fill_diagonal(corr, 1.0)
-    return corr

@@ -1,12 +1,24 @@
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from scgarch import cli, experiments, io
 from scgarch.cli import main
-from scgarch.experiments import BenchmarkResult, BenchmarkRow
+from scgarch.experiments import (
+    BenchmarkConfig,
+    BenchmarkResult,
+    BenchmarkRow,
+    Sim1BiasConfig,
+    run_benchmark,
+    run_sim1_bias,
+)
 from scgarch.model import TimeSeriesPanel, fit_cgarch
+
+
+SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consistency.py"
 
 
 def run(*argv):
@@ -245,3 +257,35 @@ class TestConfigFile:
         out = tmp_path / "out"
         assert run("fit", panel_path, "--config", cfg, "--out-dir", out) == 0
         assert "two_pass=True" in (out / "config.echo").read_text()
+
+
+class TestExperimentJobs:
+    """``jobs`` is bounded to [1, cpu_count] before any worker starts."""
+
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+
+    @pytest.fixture
+    def script(self):
+        spec = importlib.util.spec_from_file_location("sim1_consistency", SIM1_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-1"],
+                                      ["--jobs", str((os.cpu_count() or 1) + 1)],
+                                      ["--replications", "0"]])
+    def test_script_rejects_out_of_range(self, script, no_pool, argv):
+        with pytest.raises(SystemExit) as exc:
+            script.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_experiments_reject_out_of_range(self, no_pool, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sim1_bias(Sim1BiasConfig(sizes=(20,), replications=2), jobs=jobs)
+        with pytest.raises(ValueError, match="jobs"):
+            run_benchmark(BenchmarkConfig(replications=1, n=128), jobs=jobs)

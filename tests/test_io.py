@@ -1,10 +1,43 @@
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from scgarch import io
+from scgarch.evaluation import EvalReport
 from scgarch.exceptions import PanelFormatError
 from scgarch.garch import GarchFit, GarchParams
 from scgarch.model import CovariancePath, TimeSeriesPanel
+
+CHUNK = io._CHUNK_STEPS
+SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 1e-300, -1e300]
+FINITE_SPECIAL = [-0.0, 5e-324, 1e300, 1e-300, -1e300]
+
+
+def oracle_table(path, header, rows, comment=None):
+    """The per-entry writer the chunked writers replaced."""
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def fmt(x):
+    return format(float(x), ".17g")
+
+
+def values_with_specials(shape, seed, specials):
+    """Random draws of mixed magnitude with ``specials`` scattered in."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    flat = a.reshape(-1)
+    flat[rng.choice(flat.size, min(len(specials), flat.size), replace=False)] = \
+        specials[:flat.size]
+    return a
 
 
 class TestPanelRoundTrip:
@@ -76,3 +109,67 @@ def test_garch_params_name_the_boundary(tmp_path):
         "y1,0.5,0,0.29999999999999999,-3,true,alpha=0",
         "y2,0.20000000000000001,0.10000000000000001,0.80000000000000004,-2.5,false,none",
     ]
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", [1, 2, 6])
+class TestSameBytesAsCsvWriter:
+    def test_cov_path(self, tmp_path, n, p):
+        sigmas = values_with_specials((n, p, p), n * 10 + p, SPECIAL)
+        io.write_cov_path(tmp_path / "new.csv", CovariancePath(sigmas))
+        oracle_table(tmp_path / "old.csv", ["t", "i", "j", "value"],
+                     ((t + 1, i + 1, j + 1, fmt(sigmas[t, i, j]))
+                      for t in range(n) for i in range(p) for j in range(p)))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_coeff_path(self, tmp_path, n, p):
+        t_path = values_with_specials((n, p, p), n * 10 + p + 1, SPECIAL + [0.0])
+        io.write_coeff_path(tmp_path / "new.csv", t_path)
+        oracle_table(tmp_path / "old.csv", ["t", "j", "k", "phi"],
+                     ((t + 1, j + 1, k + 1, fmt(-t_path[t, j, k]))
+                      for t in range(n) for j in range(1, p) for k in range(j)))
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "old.csv").read_bytes()
+        if p == 1:
+            assert new == b"t,j,k,phi\r\n"
+
+    def test_panel(self, tmp_path, n, p):
+        values = values_with_specials((n + p, p), n * 10 + p + 2, FINITE_SPECIAL)
+        panel = TimeSeriesPanel(values, [f"s,{j}" if j else 'q"0' for j in range(p)])
+        io.write_panel(tmp_path / "new.csv", panel)
+        oracle_table(tmp_path / "old.csv", panel.labels,
+                     ([fmt(v) for v in row] for row in panel.values))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_eval_report(self, tmp_path, n, p):
+        losses = values_with_specials((n, 2), n * 10 + p + 3, SPECIAL)
+        report = EvalReport(losses[:, 0], losses[:, 1], 0.1 * p, np.nan)
+        io.write_eval_report(tmp_path / "new.csv", report, comment="truth: x; scale: y")
+        oracle_table(tmp_path / "old.csv", ["t", "mae", "mse"],
+                     [[t, fmt(mae), fmt(mse)] for t, (mae, mse) in enumerate(losses, 1)]
+                     + [["mean", fmt(report.mae), fmt(report.mse)]],
+                     comment="truth: x; scale: y")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_sim1_columns_same_bytes(tmp_path):
+    values = values_with_specials((CHUNK + 1, 3), 5, SPECIAL)
+    io.write_columns(tmp_path / "new.csv", ["y", "x", "phi_true"], values)
+    oracle_table(tmp_path / "old.csv", ["y", "x", "phi_true"],
+                 ((fmt(y), fmt(x), fmt(p)) for y, x, p in values))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_cov_path_write_streams_in_chunks(tmp_path):
+    """A 2048 x 6 x 6 path is about 3 MB of text; writing it must not
+    build the whole file in memory."""
+    rng = np.random.default_rng(3)
+    cov = CovariancePath(rng.standard_normal((2048, 6, 6)))
+    tracemalloc.start()
+    try:
+        io.write_cov_path(tmp_path / "cov.csv", cov)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "cov.csv").stat().st_size > 2_000_000
+    assert peak < 2_000_000

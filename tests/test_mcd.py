@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgarch.exceptions import DimensionMismatch, NonPositiveDiagonal, NotPositiveDefinite
-from scgarch.mcd import cov_to_corr, mcd_decompose, mcd_reconstruct
+from scgarch.mcd import mcd_decompose, mcd_reconstruct
+from scgarch.model import CovariancePath
 
 
 def random_pd(dim, rng, eps=1e-3):
@@ -66,6 +67,11 @@ class TestReconstruct:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mcd_reconstruct(np.eye(3), np.ones(2))
+
+
+def cov_to_corr(sigma):
+    """Correlation matrix of one covariance matrix, via a one-step path."""
+    return CovariancePath(np.asarray(sigma)[None]).correlations()[0]
 
 
 class TestCovToCorr:
