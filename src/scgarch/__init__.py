@@ -10,7 +10,6 @@ generators, and a CLI for reproducible experiments.
 """
 
 from .evaluation import (
-    EvalConfig,
     EvalReport,
     loss_paths,
     moving_block_proxy,
@@ -18,7 +17,7 @@ from .evaluation import (
 )
 from .exceptions import ScgarchError
 from .garch import GarchFit, GarchParams, garch_filter, garch_fit, garch_loglik, simulate_garch
-from .kalman import KalmanConfig, KalmanRun, filter_regression, kalman_predict, kalman_update, tune_state_noise
+from .kalman import KalmanConfig, KalmanRun, filter_regression, tune_state_noise
 from .mcd import mcd_decompose, mcd_reconstruct
 from .model import (
     CholeskyPath,
@@ -27,7 +26,6 @@ from .model import (
     ScgarchFitResult,
     TimeSeriesPanel,
     bic,
-    extract_innovations,
     fit_cgarch,
     fit_model,
     fit_scgarch,
@@ -38,7 +36,6 @@ from .simulate import (
     Sim2Config,
     generate_sim1,
     generate_sim2,
-    sample_mvn,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CholeskyPath",
     "CovariancePath",
-    "EvalConfig",
     "EvalReport",
     "GarchFit",
     "GarchParams",
@@ -59,7 +55,6 @@ __all__ = [
     "Sim2Config",
     "TimeSeriesPanel",
     "bic",
-    "extract_innovations",
     "filter_regression",
     "fit_cgarch",
     "fit_model",
@@ -69,14 +64,11 @@ __all__ = [
     "garch_loglik",
     "generate_sim1",
     "generate_sim2",
-    "kalman_predict",
-    "kalman_update",
     "loss_paths",
     "mcd_decompose",
     "mcd_reconstruct",
     "moving_block_proxy",
     "order_by_bic",
-    "sample_mvn",
     "select_block_size",
     "simulate_garch",
     "tune_state_noise",

@@ -28,19 +28,6 @@ SCALES = ("covariance", "correlation")
 DEFAULT_STABILIZATION_FRACTION = 0.05
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Block width (odd, >= 3) and the scale losses are computed on."""
-
-    block_size: int
-    comparison_scale: str = "covariance"
-
-    def __post_init__(self):
-        validate_block_size(self.block_size)
-        if self.comparison_scale not in SCALES:
-            raise ValueError(f"scale must be one of {SCALES}")
-
-
 @dataclass
 class EvalReport:
     """Per-time and averaged entrywise losses between two paths."""

@@ -60,7 +60,11 @@ class PanelFormatError(ScgarchError):
 
 
 class PipelineError(ScgarchError):
-    """A multi-stage fit failed; carries the stage name and series index."""
+    """A multi-stage fit failed; carries the stage name and series index.
+
+    ``index`` is the failing series' 1-based column in the panel as given,
+    whatever ordering the fit or the ordering search applies.
+    """
 
     def __init__(self, stage: str, index: int, cause: Exception):
         self.stage = stage

@@ -6,14 +6,15 @@ transition and state-noise covariance Q.  The filter runs in gain form
 with a Joseph covariance update: with a scalar observation the gain needs
 no matrix inverse, and one pass of the private kernel carries a batch of
 independent regressions of one dimension, each with its own data, Q and
-measurement-variance path.  ``filter_regression`` is a batch of one;
+measurement-variance path.  ``filter_regression`` is a batch of one, and
 ``tune_state_noise`` filters a whole grid of state-noise candidates in
-one pass and can return the winner's run from that pass, so a tuned
-regression is filtered once; the model's ordering search filters all the
-regressions of one predecessor-set size in one pass, keeping only
-innovations and log-likelihoods.  The information-form ``kalman_update``,
-which matches the conjugate Gaussian posterior directly, is kept as the
-test suite's oracle.
+one pass.  The model's column fit, shared by the ordering search and the
+final fit, calls the kernel directly: all the regressions of one
+predecessor-set size at every candidate in one pass, so a tuned
+regression is filtered once, and coefficient paths are kept only for the
+final fit.  ``kalman_predict`` and the information-form
+``kalman_update``, which matches the conjugate Gaussian posterior
+directly, are kept as the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -91,10 +92,9 @@ class KalmanRun:
     density (used for tuning the state noise, not for reporting).
     """
 
-    phi_path: np.ndarray       # (n, d) posterior means
-    p_path: np.ndarray         # (n, d, d) posterior covariances
-    phi_pred_path: np.ndarray  # (n, d) predicted means
-    innovations: np.ndarray    # (n,)
+    phi_path: np.ndarray     # (n, d) posterior means
+    p_path: np.ndarray       # (n, d, d) posterior covariances
+    innovations: np.ndarray  # (n,)
     loglik_pe: float
 
 
@@ -260,16 +260,6 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
     return innovations, loglik, phi_path, p_path
 
 
-def _kalman_run(phi0, innovations, loglik, phi_path, p_path, b: int) -> KalmanRun:
-    """The ``KalmanRun`` of batch element ``b`` of a ``_gain_filter`` pass."""
-    phi_path = phi_path[:, b]
-    # The random walk has an identity transition: each prediction is the
-    # previous posterior mean.
-    phi_pred_path = np.vstack([phi0, phi_path[:-1]])
-    return KalmanRun(phi_path, p_path[:, b], phi_pred_path, innovations[:, b],
-                     float(loglik[b]))
-
-
 def _checked_grid(grid) -> list[float]:
     """Validate state-noise candidates; return them in ascending order."""
     grid = sorted(float(g) for g in grid)
@@ -305,27 +295,23 @@ def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> Kalm
         when re-filtering with fitted conditional variances.
     """
     y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg, meas_var_path)
-    out = _gain_filter(y[:, None], x_panel[:, None], cfg.phi0, cfg.p0, cfg.q[None],
-                       meas_var[:, None], keep_paths=True)
-    return _kalman_run(cfg.phi0, *out, 0)
+    innovations, loglik, phi_path, p_path = _gain_filter(
+        y[:, None], x_panel[:, None], cfg.phi0, cfg.p0, cfg.q[None], meas_var[:, None],
+        keep_paths=True)
+    return KalmanRun(phi_path[:, 0], p_path[:, 0], innovations[:, 0], float(loglik[0]))
 
 
-def tune_state_noise(y, x_panel, cfg_base: KalmanConfig, grid, *, full_output=False):
+def tune_state_noise(y, x_panel, cfg_base: KalmanConfig, grid):
     """Pick the state-noise scale maximizing the predictive log-likelihood.
 
     Every candidate q (with Q = q * I) is filtered in one batched pass;
     ties break toward the smaller q (the grid is scanned in ascending
-    order with strict improvement required).  Returns the chosen q, or
-    with ``full_output`` the pair ``(q, run)`` where ``run`` is the
-    ``KalmanRun`` of that candidate from the same pass, so a tuned
-    regression is filtered only once.
+    order with strict improvement required).  Returns the chosen q.
     """
     grid = _checked_grid(grid)
     y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg_base, None)
     q = np.multiply.outer(grid, np.eye(cfg_base.state_dim))
-    out = _gain_filter(y[:, None], x_panel[:, None], cfg_base.phi0, cfg_base.p0, q,
-                       meas_var[:, None], keep_paths=full_output)
-    best = _best_candidate(out[1])
-    if not full_output:
-        return None if best is None else grid[best]
-    return grid[best], _kalman_run(cfg_base.phi0, *out, best)
+    _, loglik, _, _ = _gain_filter(y[:, None], x_panel[:, None], cfg_base.phi0,
+                                   cfg_base.p0, q, meas_var[:, None])
+    best = _best_candidate(loglik)
+    return None if best is None else grid[best]

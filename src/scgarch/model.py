@@ -9,6 +9,13 @@ innovation series.  The covariance path is assembled per time step as
 ``fit_cgarch`` is the constant-coefficient baseline (static T from the
 full-sample regressions, GARCH step unchanged).  ``order_by_bic`` ranks
 variable orderings of either model.
+
+A column's innovations and GARCH fit depend only on which variables
+precede it, so one function, ``_fit_columns``, fits (series, predecessor
+set) pairs for both the ordering search and ``fit_model``, the one
+fitter behind ``fit_scgarch`` and ``fit_cgarch``: the scgarch
+regressions of one set size go through one batched Kalman pass, and a
+tuned regression is filtered once, at all its state-noise candidates.
 """
 
 from __future__ import annotations
@@ -25,16 +32,10 @@ from .exceptions import (
     ScgarchError,
     TooManyPermutations,
 )
-from .garch import GarchFit, garch_fit, garch_loglik
-from .kalman import (
-    KalmanConfig,
-    KalmanRun,
-    _best_candidate,
-    _checked_grid,
-    _gain_filter,
-    filter_regression,
-    tune_state_noise,
-)
+from .garch import GarchFit, garch_fit
+from .kalman import KalmanConfig, _best_candidate, _checked_grid, _gain_filter
+# Not called here: perfbench/spans.py wraps both names on this module.
+from .kalman import filter_regression, tune_state_noise  # noqa: F401
 from .mcd import mcd_decompose
 
 # Floor applied to the regression-residual variance so degenerate
@@ -174,9 +175,9 @@ class ScgarchConfig:
 class ScgarchFitResult:
     """Everything produced by one pipeline fit.
 
-    ``cholesky``, ``innovations``, ``garch_fits`` and ``kalman_runs`` are
-    in processing order (after applying ``ordering``); ``cov_path`` is
-    reported in the original variable order.
+    ``cholesky``, ``innovations`` and ``garch_fits`` are in processing
+    order (after applying ``ordering``); ``cov_path`` is reported in the
+    original variable order.
     """
 
     model: str
@@ -184,7 +185,6 @@ class ScgarchFitResult:
     cholesky: CholeskyPath
     innovations: np.ndarray
     garch_fits: list[GarchFit]
-    kalman_runs: list[KalmanRun] | None
     cov_path: CovariancePath
     total_loglik: float
 
@@ -213,90 +213,11 @@ def _default_config(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig
     )
 
 
-def _filter_column(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig,
-                   series: int, cfg: KalmanConfig | None = None,
-                   meas_var_path=None) -> tuple[KalmanConfig, KalmanRun]:
-    """Filter one regression of ``yj`` on the regressor columns ``xj``.
-
-    Without ``cfg`` the config is ``_default_config``, with the state noise
-    tuned over ``config.tune_grid`` when that is set; the tuning pass's run
-    at the chosen noise is the result, unless ``meas_var_path`` asks for a
-    re-filter.  Returns the config used and the run; a failure is reported
-    against ``series``.
-    """
-    try:
-        if cfg is None:
-            cfg = _default_config(yj, xj, config)
-            if config.tune_grid:
-                q, run = tune_state_noise(yj, xj, cfg, config.tune_grid,
-                                          full_output=True)
-                cfg = cfg.with_state_noise(q)
-                if meas_var_path is None:
-                    return cfg, run
-        return cfg, filter_regression(yj, xj, cfg, meas_var_path=meas_var_path)
-    except ScgarchError as exc:
-        raise PipelineError("kalman", series, exc) from exc
-
-
-def _extract(panel: TimeSeriesPanel, kalman_cfgs, config: ScgarchConfig,
-             meas_var_paths):
-    """``extract_innovations`` that also returns the configs it used."""
-    y = panel.values
-    n, p = y.shape
-    if kalman_cfgs is not None and len(kalman_cfgs) != p - 1:
-        raise DimensionMismatch(f"need {p - 1} kalman configs, got {len(kalman_cfgs)}")
-    if meas_var_paths is not None and len(meas_var_paths) != p - 1:
-        raise DimensionMismatch(f"need {p - 1} variance paths, got {len(meas_var_paths)}")
-
-    t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
-    innovations = np.empty((n, p))
-    innovations[:, 0] = y[:, 0]
-    runs: list[KalmanRun] = []
-    cfgs: list[KalmanConfig] = []
-    for j in range(1, p):
-        cfg, run = _filter_column(
-            y[:, j], y[:, :j], config, j + 1,
-            cfg=None if kalman_cfgs is None else kalman_cfgs[j - 1],
-            meas_var_path=None if meas_var_paths is None else meas_var_paths[j - 1],
-        )
-        t_path[:, j, :j] = -run.phi_path
-        innovations[:, j] = run.innovations
-        runs.append(run)
-        cfgs.append(cfg)
-    return t_path, innovations, runs, cfgs
-
-
-def extract_innovations(panel: TimeSeriesPanel, kalman_cfgs=None, *,
-                        config: ScgarchConfig | None = None,
-                        meas_var_paths=None):
-    """Filter each variable on its predecessors, in panel column order.
-
-    Returns ``(t_path, innovations, kalman_runs)`` where ``t_path`` holds
-    the unit-lower-triangular coefficient matrices (row j carries the
-    negated filtered coefficients, so ``t_path[t] @ y[t] == innovations[t]``
-    exactly), ``innovations`` is the n x p residual panel (column 0 is the
-    first variable itself), and ``kalman_runs`` has one entry per
-    regression.
-
-    ``kalman_cfgs`` may supply one KalmanConfig per regression (p - 1 of
-    them); otherwise configs are built from ``config`` with the
-    measurement variance set to each regression's full-sample OLS residual
-    variance.  ``meas_var_paths`` optionally overrides the measurement
-    variance per step, one length-n array per regression.
-    """
-    return _extract(panel, kalman_cfgs, config or ScgarchConfig(), meas_var_paths)[:3]
-
-
 def _fit_garch_column(eps: np.ndarray, config: ScgarchConfig, series: int) -> GarchFit:
     try:
         return garch_fit(eps, gtol=config.garch_gtol, xtol=config.garch_xtol)
     except ScgarchError as exc:
         raise PipelineError("garch", series, exc) from exc
-
-
-def _fit_garch_columns(innovations: np.ndarray, config: ScgarchConfig) -> list[GarchFit]:
-    return [_fit_garch_column(innovations[:, j], config, j + 1)
-            for j in range(innovations.shape[1])]
 
 
 def _assemble_cov_path(t_path: np.ndarray, d_path: np.ndarray) -> np.ndarray:
@@ -311,23 +232,8 @@ def _unpermute(sigmas: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
     return sigmas[:, iperm, :][:, :, iperm]
 
 
-def _finalize(model, perm, t_path, innovations, runs, fits):
-    d_path = np.column_stack([f.sigma2_path for f in fits])
-    cholesky = CholeskyPath(t_path, d_path)
-    sigmas = _unpermute(_assemble_cov_path(t_path, d_path), perm)
-    return ScgarchFitResult(
-        model=model,
-        ordering=perm,
-        cholesky=cholesky,
-        innovations=innovations,
-        garch_fits=fits,
-        kalman_runs=runs,
-        cov_path=CovariancePath(sigmas),
-        total_loglik=float(sum(f.loglik for f in fits)),
-    )
-
-
 MIN_FIT_PANEL_LENGTH = 50
+_MODELS = ("cgarch", "scgarch")
 
 
 def _check_length(panel: TimeSeriesPanel):
@@ -337,58 +243,166 @@ def _check_length(panel: TimeSeriesPanel):
         )
 
 
-def _prepare(panel: TimeSeriesPanel, config: ScgarchConfig | None):
+def _check_model(model: str):
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {list(_MODELS)}")
+
+
+def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs,
+                 keep_coefs: bool = False) -> dict[tuple[int, frozenset], tuple]:
+    """Fit column j of ``y`` given that the columns in the frozenset
+    ``preds`` precede it, for each (j, preds) in ``pairs``.
+
+    Returns ``{(j, preds): (coefs, innovations, garch_fit)}``: the
+    coefficients of column j on its predecessors in ascending column index
+    (an (n, |preds|) filtered path for scgarch, ``None`` unless
+    ``keep_coefs``; the static (|preds|,) row for cgarch; ``None`` without
+    predecessors), column j's (n,) innovations and their GARCH(1,1) fit.
+
+    A column's fit depends on the set, not on the order of its
+    predecessors (isotropic prior and state noise, order-free OLS
+    measurement variance, set-determined static regression), so each
+    distinct pair is fitted once.  The scgarch regressions of one set size
+    are filtered together (``_regression_columns``); a cgarch row is the
+    last row of the modified Cholesky factor of the full-sample second
+    moment of the block (``_static_column``).  A failure names column
+    j + 1.
+    """
+    by_size: dict[int, list] = {}
+    for pair in dict.fromkeys(pairs):
+        by_size.setdefault(len(pair[1]), []).append(pair)
+    second_moment = (y.T @ y) / y.shape[0] if model == "cgarch" else None
+    fitted = {}
+    for size, group in sorted(by_size.items()):
+        if size == 0:
+            columns = [(None, y[:, j], _fit_garch_column(y[:, j], config, j + 1))
+                       for j, _ in group]
+        elif model == "cgarch":
+            columns = [_static_column(y, second_moment, j, preds, config)
+                       for j, preds in group]
+        else:
+            columns = _regression_columns(y, group, config, keep_coefs)
+        fitted.update(zip(group, columns))
+    return fitted
+
+
+def _static_column(y, second_moment, j: int, preds: frozenset, config: ScgarchConfig):
+    block = sorted(preds) + [j]
+    try:
+        t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
+    except ScgarchError as exc:
+        raise PipelineError("static-mcd", j + 1, exc) from exc
+    # The product with the whole block factor, not with its last row alone,
+    # gives the same bits as the product with the full-panel factor.
+    eps = (y[:, block] @ t.T)[:, -1]
+    return -t[-1, :-1], eps, _fit_garch_column(eps, config, j + 1)
+
+
+def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig,
+                        keep_coefs: bool) -> list[tuple]:
+    """Scgarch fits of (j, preds) pairs that share one set size.
+
+    One kernel pass filters every pair at every state-noise candidate
+    (B = pairs x grid, a grid of one without ``tune_grid``); each pair keeps
+    its best candidate by the rule of ``tune_state_noise``.  With
+    ``two_pass`` a second pass (B = pairs) re-filters each pair at its
+    noise with its fitted variance path.  Only the pass whose innovations
+    are returned stores coefficient paths, and only with ``keep_coefs``.
+    """
+    targets = [j for j, _ in pairs]
+    preds = [sorted(s) for _, s in pairs]
+    cfgs = []
+    for j, idx in zip(targets, preds):
+        try:
+            cfgs.append(_default_config(y[:, j], y[:, idx], config))
+        except ScgarchError as exc:
+            raise PipelineError("kalman", j + 1, exc) from exc
+    grid = _checked_grid(config.tune_grid) if config.tune_grid else [config.state_noise]
+
+    def filter_pass(yb, xb, q, meas_var, keep_paths):
+        try:
+            return _gain_filter(yb, xb, cfgs[0].phi0, cfgs[0].p0, q, meas_var,
+                                keep_paths)[:3]
+        except ScgarchError as exc:
+            # Every pair has the same prior and candidates, so if one
+            # fails the first-prediction check they all do.
+            raise PipelineError("kalman", targets[0] + 1, exc) from exc
+
+    n, g = y.shape[0], len(grid)
+    eye = np.eye(len(preds[0]))
+    yb = y[:, targets]
+    xb = np.stack([y[:, idx] for idx in preds], axis=1)
+    meas_var = np.broadcast_to([c.meas_var for c in cfgs], (n, len(pairs)))
+    innovations, loglik, phi_path = filter_pass(
+        np.repeat(yb, g, axis=1), np.repeat(xb, g, axis=1),
+        np.tile(np.multiply.outer(grid, eye), (len(pairs), 1, 1)),
+        np.repeat(meas_var, g, axis=1), keep_coefs and not config.two_pass,
+    )
+    # Copy out the chosen candidates, so that what is returned does not
+    # hold on to the whole grid pass.
+    best = [_best_candidate(row) for row in loglik.reshape(len(pairs), g)]
+    chosen = [i * g + b for i, b in enumerate(best)]
+    innovations = innovations[:, chosen]
+    fits = [_fit_garch_column(innovations[:, i], config, j + 1)
+            for i, j in enumerate(targets)]
+    if config.two_pass:
+        innovations, _, phi_path = filter_pass(
+            yb, xb, np.multiply.outer([grid[b] for b in best], eye),
+            np.column_stack([f.sigma2_path for f in fits]), keep_coefs,
+        )
+        fits = [_fit_garch_column(innovations[:, i], config, j + 1)
+                for i, j in enumerate(targets)]
+    elif phi_path is not None:
+        phi_path = phi_path[:, chosen]
+    coefs = [None] * len(pairs) if phi_path is None else phi_path.transpose(1, 0, 2)
+    return list(zip(coefs, innovations.T, fits))
+
+
+def fit_model(panel: TimeSeriesPanel, model: str,
+              config: ScgarchConfig | None = None) -> ScgarchFitResult:
+    """Fit ``model`` ("scgarch" or "cgarch") in the variable order
+    ``config.ordering`` (panel order by default).
+
+    The k-th variable of the ordering is fitted given the set of the k
+    before it, by the ordering search's column fit (``_fit_columns``), and
+    its coefficients are placed in row k of the Cholesky factor.
+    """
+    _check_model(model)
     config = config or ScgarchConfig()
     _check_length(panel)
-    perm = (check_permutation(config.ordering, panel.p)
-            if config.ordering is not None else tuple(range(panel.p)))
-    work = panel if perm == tuple(range(panel.p)) else panel.permuted(perm)
-    return config, perm, work
+    n, p = panel.values.shape
+    perm = (check_permutation(config.ordering, p)
+            if config.ordering is not None else tuple(range(p)))
+    pairs = [(j, frozenset(perm[:k])) for k, j in enumerate(perm)]
+    fitted = _fit_columns(panel.values, model, config, pairs, keep_coefs=True)
+    rank = np.argsort(perm)
+    t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
+    for k, pair in enumerate(pairs[1:], start=1):
+        t_path[:, k, rank[sorted(pair[1])]] = -fitted[pair][0]
+    innovations = np.column_stack([fitted[pair][1] for pair in pairs])
+    fits = [fitted[pair][2] for pair in pairs]
+    d_path = np.column_stack([f.sigma2_path for f in fits])
+    return ScgarchFitResult(
+        model=model,
+        ordering=perm,
+        cholesky=CholeskyPath(t_path, d_path),
+        innovations=innovations,
+        garch_fits=fits,
+        cov_path=CovariancePath(_unpermute(_assemble_cov_path(t_path, d_path), perm)),
+        total_loglik=float(sum(f.loglik for f in fits)),
+    )
 
 
 def fit_scgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
                 ) -> ScgarchFitResult:
     """Two-step fit: Kalman-filtered coefficient paths, then GARCH variances."""
-    config, perm, work = _prepare(panel, config)
-    t_path, innovations, runs, cfgs = _extract(work, None, config, None)
-    fits = _fit_garch_columns(innovations, config)
-    if config.two_pass and panel.p > 1:
-        # The re-filter keeps each regression's first-pass config (tuned
-        # noise included); column 0 is the raw series, so its fit stands.
-        mv_paths = [f.sigma2_path for f in fits[1:]]
-        t_path, innovations, runs, _ = _extract(work, cfgs, config, mv_paths)
-        fits = fits[:1] + [_fit_garch_column(innovations[:, j], config, j + 1)
-                           for j in range(1, panel.p)]
-    return _finalize("scgarch", perm, t_path, innovations, runs, fits)
+    return fit_model(panel, "scgarch", config)
 
 
 def fit_cgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
                ) -> ScgarchFitResult:
     """Constant-coefficient baseline: static T from full-sample regressions."""
-    config, perm, work = _prepare(panel, config)
-    y = work.values
-    n, p = y.shape
-    second_moment = (y.T @ y) / n
-    try:
-        t_static, _ = mcd_decompose(second_moment)
-    except ScgarchError as exc:
-        raise PipelineError("static-mcd", 0, exc) from exc
-    innovations = y @ t_static.T
-    t_path = np.broadcast_to(t_static, (n, p, p)).copy()
-    fits = _fit_garch_columns(innovations, config)
-    return _finalize("cgarch", perm, t_path, innovations, None, fits)
-
-
-_FITTERS = {"scgarch": fit_scgarch, "cgarch": fit_cgarch}
-
-
-def fit_model(panel: TimeSeriesPanel, model: str,
-              config: ScgarchConfig | None = None) -> ScgarchFitResult:
-    try:
-        fitter = _FITTERS[model]
-    except KeyError:
-        raise ValueError(f"unknown model {model!r}; expected one of {sorted(_FITTERS)}")
-    return fitter(panel, config)
+    return fit_model(panel, "cgarch", config)
 
 
 def bic(total_loglik: float, n: int, p: int) -> float:
@@ -408,98 +422,6 @@ def pick_minimum(candidates, scores) -> tuple[int, ...]:
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
 DEFAULT_ORDERING_SAMPLES = 200
-
-
-def _column_scores(panel: TimeSeriesPanel, model: str, config: ScgarchConfig,
-                   pairs) -> dict[tuple[int, frozenset], float]:
-    """Map each (j, preds) in ``pairs`` to the GARCH log-likelihood of column
-    j's innovations when the columns in the frozenset ``preds`` precede it.
-
-    The likelihood depends on the set, not on the order of the
-    predecessors (isotropic prior and state noise, order-free OLS
-    measurement variance, set-determined static regression), so each
-    distinct pair is fitted once, with the predecessors in ascending column
-    index.  The fits follow ``fit_scgarch`` (including the ``two_pass``
-    re-filter) and ``fit_cgarch`` column by column; the scgarch regressions
-    of one set size are filtered together (``_regression_logliks``).
-    """
-    y = panel.values
-    by_size: dict[int, list] = {}
-    for pair in dict.fromkeys(pairs):
-        by_size.setdefault(len(pair[1]), []).append(pair)
-    second_moment = (y.T @ y) / panel.n
-    scores = {}
-    for size, group in sorted(by_size.items()):
-        if size == 0:
-            logliks = [_fit_garch_column(y[:, j], config, j + 1).loglik for j, _ in group]
-        elif model == "cgarch":
-            logliks = [_static_loglik(y, second_moment, j, preds, config)
-                       for j, preds in group]
-        else:
-            logliks = _regression_logliks(y, group, config)
-        scores.update(zip(group, logliks))
-    return scores
-
-
-def _static_loglik(y, second_moment, j: int, preds: frozenset,
-                   config: ScgarchConfig) -> float:
-    block = sorted(preds) + [j]
-    try:
-        t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
-    except ScgarchError as exc:
-        raise PipelineError("static-mcd", 0, exc) from exc
-    return _fit_garch_column(y[:, block] @ t[-1], config, j + 1).loglik
-
-
-def _regression_logliks(y: np.ndarray, pairs, config: ScgarchConfig) -> list[float]:
-    """Scgarch scores of (j, preds) pairs that share one set size.
-
-    One kernel pass filters every pair at every state-noise candidate
-    (B = pairs x grid, a grid of one without ``tune_grid``); each pair keeps
-    its best candidate by the rule of ``tune_state_noise``.  With
-    ``two_pass`` a second pass (B = pairs) re-filters each pair at its
-    noise with its fitted variance path.  Only innovations and
-    log-likelihoods are kept.
-    """
-    targets = [j for j, _ in pairs]
-    preds = [sorted(s) for _, s in pairs]
-    cfgs = []
-    for j, idx in zip(targets, preds):
-        try:
-            cfgs.append(_default_config(y[:, j], y[:, idx], config))
-        except ScgarchError as exc:
-            raise PipelineError("kalman", j + 1, exc) from exc
-    grid = _checked_grid(config.tune_grid) if config.tune_grid else [config.state_noise]
-
-    def filter_pass(yb, xb, q, meas_var):
-        try:
-            return _gain_filter(yb, xb, cfgs[0].phi0, cfgs[0].p0, q, meas_var)[:2]
-        except ScgarchError as exc:
-            # Every pair has the same prior and candidates, so if one
-            # fails the first-prediction check they all do.
-            raise PipelineError("kalman", targets[0] + 1, exc) from exc
-
-    n, g = y.shape[0], len(grid)
-    eye = np.eye(len(preds[0]))
-    yb = y[:, targets]
-    xb = np.stack([y[:, idx] for idx in preds], axis=1)
-    meas_var = np.broadcast_to([c.meas_var for c in cfgs], (n, len(pairs)))
-    innovations, loglik = filter_pass(
-        np.repeat(yb, g, axis=1), np.repeat(xb, g, axis=1),
-        np.tile(np.multiply.outer(grid, eye), (len(pairs), 1, 1)),
-        np.repeat(meas_var, g, axis=1),
-    )
-    best = [_best_candidate(row) for row in loglik.reshape(len(pairs), g)]
-    fits = [_fit_garch_column(innovations[:, i * g + b], config, j + 1)
-            for i, (j, b) in enumerate(zip(targets, best))]
-    if config.two_pass:
-        innovations, _ = filter_pass(
-            yb, xb, np.multiply.outer([grid[b] for b in best], eye),
-            np.column_stack([f.sigma2_path for f in fits]),
-        )
-        fits = [_fit_garch_column(innovations[:, i], config, j + 1)
-                for i, j in enumerate(targets)]
-    return [f.loglik for f in fits]
 
 
 def _best_ordering(p: int, score) -> tuple[int, ...]:
@@ -547,7 +469,8 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     refuses p above ``exhaustive_limit``; sampled mode scores
     ``n_samples`` (at least 1) uniformly drawn permutations (seeded).
     Either mode first collects the (series, set) pairs it needs and fits
-    them with one batched Kalman pass per set size.  Ties break toward the
+    them with ``_fit_columns``, the column fit of ``fit_model``: one
+    batched Kalman pass per set size.  Ties break toward the
     lexicographically smallest permutation.
     """
     config = config or ScgarchConfig()
@@ -564,19 +487,23 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
         raise ValueError(f"unknown ordering mode {mode!r}")
     elif n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    if model not in _FITTERS:
-        raise ValueError(f"unknown model {model!r}; expected one of {sorted(_FITTERS)}")
+    _check_model(model)
     _check_length(panel)
+
+    def column_scores(pairs):
+        fitted = _fit_columns(panel.values, model, config, pairs)
+        return {pair: fit.loglik for pair, (_, _, fit) in fitted.items()}
+
     if mode == "exhaustive":
         pairs = [(j, frozenset(s)) for size in range(p)
                  for s in itertools.combinations(range(p), size)
                  for j in range(p) if j not in s]
-        scores = _column_scores(panel, model, config, pairs)
+        scores = column_scores(pairs)
         return _best_ordering(p, lambda j, s: scores[(j, s)])
 
     rng = np.random.default_rng(seed)
     candidates = sorted({tuple(rng.permutation(p).tolist()) for _ in range(n_samples)})
     paths = [[(j, frozenset(perm[:k])) for k, j in enumerate(perm)] for perm in candidates]
-    scores = _column_scores(panel, model, config, [pair for path in paths for pair in path])
+    scores = column_scores([pair for path in paths for pair in path])
     bics = [bic(sum(scores[pair] for pair in path), panel.n, p) for path in paths]
     return pick_minimum(candidates, bics)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite
-from .mcd import PD_RTOL, as_sym_matrix, is_positive_definite
+from .exceptions import NotPositiveDefinite
+from .mcd import PD_RTOL
 from .model import CovariancePath, TimeSeriesPanel
 
 
@@ -73,37 +73,17 @@ class Sim2Data:
     repairs: int  # number of time steps whose matrix needed a PD shift
 
 
-def sample_mvn(mean, sigma, seed=None, size: int | None = None) -> np.ndarray:
-    """Draw from N(mean, sigma) via the Cholesky factor.
-
-    Returns a vector for ``size=None``, else a (size, p) array.
-    Deterministic given the seed.
-    """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    sigma = as_sym_matrix(sigma)
-    if sigma.shape[0] != mean.shape[0]:
-        raise DimensionMismatch(
-            f"mean of length {mean.shape[0]} does not match covariance {sigma.shape}"
-        )
-    if not is_positive_definite(sigma):
-        raise NotPositiveDefinite("sampling requires a positive definite covariance")
-    factor = np.linalg.cholesky(sigma)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((size or 1, mean.shape[0]))
-    draws = mean + z @ factor.T
-    return draws[0] if size is None else draws
-
-
-def sim2_sigma(t: float, cfg: Sim2Config) -> np.ndarray:
-    """The design covariance matrix at (possibly fractional) time t."""
-    s21 = np.sin(t / cfg.deltas[0])
-    s31 = np.sin(t / cfg.deltas[1])
-    s32 = np.sin(t / cfg.deltas[2])
-    return np.array([
-        [cfg.diag[0], s21, s31],
-        [s21, cfg.diag[1], s32],
-        [s31, s32, cfg.diag[2]],
-    ])
+def sim2_sigma(t, cfg: Sim2Config) -> np.ndarray:
+    """The design covariance matrices at the (possibly fractional) times
+    ``t``: one (3, 3) matrix for a scalar, shape (len(t), 3, 3) for a
+    sequence."""
+    t = np.asarray(t, dtype=float)
+    sigmas = np.empty(t.shape + (3, 3))
+    sigmas[..., 0, 0], sigmas[..., 1, 1], sigmas[..., 2, 2] = cfg.diag
+    sigmas[..., 1, 0] = sigmas[..., 0, 1] = np.sin(t / cfg.deltas[0])
+    sigmas[..., 2, 0] = sigmas[..., 0, 2] = np.sin(t / cfg.deltas[1])
+    sigmas[..., 2, 1] = sigmas[..., 1, 2] = np.sin(t / cfg.deltas[2])
+    return sigmas
 
 
 def generate_sim2(cfg: Sim2Config) -> Sim2Data:
@@ -115,12 +95,7 @@ def generate_sim2(cfg: Sim2Config) -> Sim2Data:
     number of repairs is reported.
     """
     n = cfg.n
-    t = np.arange(1, n + 1, dtype=float)
-    sigmas = np.empty((n, 3, 3))
-    sigmas[:, 0, 0], sigmas[:, 1, 1], sigmas[:, 2, 2] = cfg.diag
-    sigmas[:, 1, 0] = sigmas[:, 0, 1] = np.sin(t / cfg.deltas[0])
-    sigmas[:, 2, 0] = sigmas[:, 0, 2] = np.sin(t / cfg.deltas[1])
-    sigmas[:, 2, 1] = sigmas[:, 1, 2] = np.sin(t / cfg.deltas[2])
+    sigmas = sim2_sigma(np.arange(1, n + 1, dtype=float), cfg)
 
     lam_min = np.linalg.eigvalsh(sigmas)[:, 0]
     floor = PD_RTOL * max(cfg.diag)

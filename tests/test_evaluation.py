@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scgarch.evaluation import (
-    EvalConfig,
     loss_paths,
     moving_block_proxy,
     select_block_size,
@@ -156,12 +155,3 @@ class TestSelectBlockSize:
         assert [r.q for r in sel.table] == [5, 11, 21]
         assert all(r.mae >= 0 and r.mse >= 0 for r in sel.table)
         assert all(r.mae_diff is not None for r in sel.table[1:])
-
-
-class TestEvalConfig:
-    def test_validation(self):
-        with pytest.raises(InvalidBlockSize):
-            EvalConfig(block_size=4)
-        with pytest.raises(ValueError):
-            EvalConfig(block_size=5, comparison_scale="other")
-        assert EvalConfig(block_size=35).comparison_scale == "covariance"

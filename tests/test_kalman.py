@@ -145,7 +145,6 @@ def test_filter_regression_matches_information_form_chain(seed, dim, n, q, with_
     np.testing.assert_allclose(run.phi_path, phi_path, rtol=0, atol=1e-9)
     np.testing.assert_allclose(run.p_path, p_path, rtol=0, atol=1e-9)
     np.testing.assert_allclose(run.innovations, innovations, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(run.phi_pred_path[1:], phi_path[:-1], rtol=0, atol=1e-9)
     assert run.loglik_pe == pytest.approx(loglik, rel=1e-9)
 
 
@@ -186,7 +185,6 @@ class TestFilterRegression:
         # precision 3/5 + 1 = 8/5 -> P = 5/8, phi = 5/8 * (3/5 * 4/3) = 1/2.
         cfg = scalar_cfg(phi0=0.0, p0=1.0, q=1.0, meas_var=1.0)
         run = filter_regression([2.0, 0.0], [[1.0], [1.0]], cfg)
-        np.testing.assert_allclose(run.phi_pred_path[:, 0], [0.0, 4.0 / 3.0], atol=1e-12)
         np.testing.assert_allclose(run.phi_path[:, 0], [4.0 / 3.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(run.p_path[:, 0, 0], [2.0 / 3.0, 5.0 / 8.0], atol=1e-12)
         np.testing.assert_allclose(run.innovations, [2.0 / 3.0, -0.5], atol=1e-12)
@@ -341,21 +339,6 @@ class TestTuneStateNoise:
             if ll > best_ll:
                 best_q, best_ll = q, ll
         assert tune_state_noise(y, x, cfg, grid) == best_q
-
-    def test_full_output_is_the_run_at_the_chosen_noise(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal((120, 2))
-        y = x @ [0.4, -0.2] + rng.standard_normal(120)
-        cfg = KalmanConfig.default(2, meas_var=1.0)
-        grid = [1e-1, 1e-4, 1e-2]
-        q, run = tune_state_noise(y, x, cfg, grid, full_output=True)
-        assert q == tune_state_noise(y, x, cfg, grid)
-        ref = filter_regression(y, x, cfg.with_state_noise(q))
-        np.testing.assert_allclose(run.innovations, ref.innovations, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run.phi_path, ref.phi_path, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run.phi_pred_path, ref.phi_pred_path, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(run.p_path, ref.p_path, rtol=0, atol=1e-12)
-        assert run.loglik_pe == pytest.approx(ref.loglik_pe, rel=1e-12)
 
     def test_exact_tie_goes_to_smallest(self):
         # Zero regressors carry no information, so every candidate has the

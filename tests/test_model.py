@@ -7,14 +7,13 @@ import pytest
 from scgarch import model
 from scgarch.exceptions import DimensionMismatch, PipelineError, TooManyPermutations
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
-from scgarch.kalman import tune_state_noise
+from scgarch.kalman import filter_regression, tune_state_noise
 from scgarch.model import (
     CholeskyPath,
     CovariancePath,
     ScgarchConfig,
     TimeSeriesPanel,
     bic,
-    extract_innovations,
     fit_cgarch,
     fit_model,
     fit_scgarch,
@@ -63,6 +62,35 @@ def mixed_garch_panel(n, p, seed):
     return TimeSeriesPanel((eps @ mix.T)[:, rng.permutation(p)])
 
 
+def all_pairs(p):
+    return [(j, frozenset(s)) for size in range(p)
+            for s in itertools.combinations(range(p), size)
+            for j in range(p) if j not in s]
+
+
+def oracle_column(panel, j, preds, config):
+    """Column j on the columns ``preds`` (in that order), one regression at
+    a time through the public Kalman functions: the state noise from
+    ``tune_state_noise`` when ``config.tune_grid`` is set, the run from
+    ``filter_regression`` and, with ``two_pass``, one re-filter at the
+    same config with the fitted variance path.  Returns the coefficient
+    path (or None without predecessors), the innovations and the GARCH fit.
+    """
+    y = panel.values
+    if not preds:
+        return None, y[:, j], garch_fit(y[:, j])
+    yj, xj = y[:, j], y[:, list(preds)]
+    cfg = model._default_config(yj, xj, config)
+    if config.tune_grid:
+        cfg = cfg.with_state_noise(tune_state_noise(yj, xj, cfg, config.tune_grid))
+    run = filter_regression(yj, xj, cfg)
+    fit = garch_fit(run.innovations)
+    if config.two_pass:
+        run = filter_regression(yj, xj, cfg, meas_var_path=fit.sigma2_path)
+        fit = garch_fit(run.innovations)
+    return run.phi_path, run.innovations, fit
+
+
 def brute_force_bics(panel, model_name, config):
     candidates = sorted(itertools.permutations(range(panel.p)))
     return candidates, [
@@ -88,24 +116,28 @@ class TestPanel:
 
 
 class TestExtractInnovations:
+    """The first step of the pipeline, seen through the fit's factor and
+    innovations."""
+
     def test_p1_passthrough(self):
         panel = iid_panel(100, [1.0], seed=0)
-        t_path, innov, runs = extract_innovations(panel)
-        np.testing.assert_array_equal(t_path, np.ones((100, 1, 1)))
-        np.testing.assert_array_equal(innov, panel.values)
-        assert runs == []
+        fit = fit_scgarch(panel)
+        np.testing.assert_array_equal(fit.cholesky.t_path, np.ones((100, 1, 1)))
+        np.testing.assert_array_equal(fit.innovations, panel.values)
 
     def test_constant_coefficient_recovered(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=42)
-        _, _, runs = extract_innovations(panel, config=ScgarchConfig(state_noise=0.0))
-        late = runs[0].phi_path[-100:, 0]
+        fit = fit_scgarch(panel, ScgarchConfig(state_noise=0.0))
+        late = -fit.cholesky.t_path[-100:, 1, 0]
         assert np.all(np.abs(late - 0.5) < 0.05)
 
     def test_triangular_identity(self):
+        # T_t y_t = eps_t, with y_t taken in processing order
         panel = causal_chain_panel(300, seed=1)
-        t_path, innov, _ = extract_innovations(panel)
-        resid = np.einsum("tij,tj->ti", t_path, panel.values)
-        np.testing.assert_allclose(resid, innov, atol=1e-10)
+        for perm in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
+            fit = fit_scgarch(panel, ScgarchConfig(ordering=perm))
+            resid = np.einsum("tij,tj->ti", fit.cholesky.t_path, panel.values[:, perm])
+            np.testing.assert_allclose(resid, fit.innovations, atol=1e-10)
 
 
 class TestFitScgarch:
@@ -187,33 +219,37 @@ class TestFitScgarch:
     def test_two_pass_reuses_first_pass_configs_and_column_0(self, monkeypatch):
         panel = causal_chain_panel(200, seed=4)
         config = replace(TUNED, two_pass=True)
-        # The second pass as it was: configs rebuilt and re-tuned, every
-        # column refitted.
-        _, innov, _ = extract_innovations(panel, config=config)
-        first = [garch_fit(innov[:, j]) for j in range(3)]
-        t_path, innov, _ = extract_innovations(
-            panel, config=config, meas_var_paths=[f.sigma2_path for f in first[1:]])
-        refit = [garch_fit(innov[:, j]) for j in range(3)]
+        # Each regression tuned once and re-filtered at that noise with its
+        # first-pass variance path; column 0 is fitted once.
+        expected = [oracle_column(panel, j, range(j), config) for j in range(3)]
+        t_path = np.broadcast_to(np.eye(3), (200, 3, 3)).copy()
+        for j in (1, 2):
+            t_path[:, j, :j] = -expected[j][0]
+        refit = [fit for _, _, fit in expected]
         expected_cov = model._assemble_cov_path(
             t_path, np.column_stack([f.sigma2_path for f in refit]))
 
-        calls = {"tune": 0, "garch": 0}
-
-        def counting_tune(*args, **kwargs):
-            calls["tune"] += 1
-            return tune_state_noise(*args, **kwargs)
+        calls = []
 
         def counting_fit(eps, **kwargs):
-            calls["garch"] += 1
+            calls.append(1)
             return garch_fit(eps, **kwargs)
 
-        monkeypatch.setattr(model, "tune_state_noise", counting_tune)
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         fit = fit_scgarch(panel, config)
-        assert calls == {"tune": 2, "garch": 5}
-        np.testing.assert_array_equal(fit.innovations, innov)
+        assert len(calls) == 5
+        np.testing.assert_array_equal(fit.cholesky.t_path, t_path)
+        np.testing.assert_array_equal(fit.innovations,
+                                      np.column_stack([e for _, e, _ in expected]))
         np.testing.assert_array_equal(fit.cov_path.sigmas, expected_cov)
         assert fit.total_loglik == sum(f.loglik for f in refit)
+
+    def test_failure_names_the_original_column(self):
+        rng = np.random.default_rng(2)
+        panel = TimeSeriesPanel(np.column_stack([rng.standard_normal(100), np.zeros(100)]))
+        with pytest.raises(PipelineError) as exc:
+            fit_scgarch(panel, ScgarchConfig(ordering=(1, 0)))
+        assert (exc.value.stage, exc.value.index) == ("garch", 2)
 
     def test_rejects_short_panel(self):
         with pytest.raises(DimensionMismatch):
@@ -325,25 +361,28 @@ class TestOrdering:
     ], ids=["fixed", "tuned", "tuned-two-pass"])
     def test_batched_scores_match_per_column_fits(self, config):
         panel = mixed_garch_panel(150, 4, seed=3)
-        y = panel.values
-        pairs = [(j, frozenset(s)) for size in range(4)
-                 for s in itertools.combinations(range(4), size)
-                 for j in range(4) if j not in s]
-        scores = model._column_scores(panel, "scgarch", config, pairs)
-        assert len(scores) == 32
+        pairs = all_pairs(4)
+        fitted = model._fit_columns(panel.values, "scgarch", config, pairs)
+        assert len(fitted) == 32
         for j, preds in pairs:
-            idx = sorted(preds)
-            if not idx:
-                expected = garch_fit(y[:, j]).loglik
-            else:
-                cfg, run = model._filter_column(y[:, j], y[:, idx], config, j + 1)
-                fit = garch_fit(run.innovations)
-                if config.two_pass:
-                    _, run = model._filter_column(y[:, j], y[:, idx], config, j + 1,
-                                                  cfg=cfg, meas_var_path=fit.sigma2_path)
-                    fit = garch_fit(run.innovations)
-                expected = fit.loglik
-            assert scores[(j, preds)] == pytest.approx(expected, rel=1e-12)
+            _, _, expected = oracle_column(panel, j, sorted(preds), config)
+            assert fitted[(j, preds)][2].loglik == pytest.approx(expected.loglik, rel=1e-12)
+
+    @pytest.mark.parametrize("model_name, config", [
+        ("scgarch", ScgarchConfig()), ("scgarch", replace(TUNED, two_pass=True)),
+        ("cgarch", ScgarchConfig()),
+    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch"])
+    def test_search_pairs_add_up_to_the_final_fit(self, model_name, config):
+        # The search and the final fit share one column fit, so the pairs
+        # along the chosen ordering add up to the final fit exactly.
+        panel = mixed_garch_panel(150, 4, seed=6)
+        fitted = model._fit_columns(panel.values, model_name, config, all_pairs(4))
+        chosen = order_by_bic(panel, config, model=model_name)
+        assert chosen != (0, 1, 2, 3)
+        path_sum = sum(fitted[(j, frozenset(chosen[:k]))][2].loglik
+                       for k, j in enumerate(chosen))
+        final = fit_model(panel, model_name, replace(config, ordering=chosen))
+        assert path_sum == final.total_loglik
 
     def test_sampled_mode_needs_a_sample(self):
         with pytest.raises(ValueError):

@@ -2,48 +2,28 @@ import numpy as np
 import pytest
 
 from scgarch.evaluation import loss_paths, moving_block_proxy
-from scgarch.exceptions import DimensionMismatch, NotPositiveDefinite
 from scgarch.kalman import KalmanConfig, filter_regression
 from scgarch.simulate import (
     Sim1Config,
     Sim2Config,
     generate_sim1,
     generate_sim2,
-    sample_mvn,
     sim2_sigma,
 )
-
-
-class TestSampleMvn:
-    def test_degenerate_covariance_returns_mean(self):
-        mean = np.array([1.0, -2.0])
-        draw = sample_mvn(mean, 1e-20 * np.eye(2), seed=0)
-        np.testing.assert_allclose(draw, mean, atol=1e-8)
-
-    def test_large_sample_covariance(self):
-        sigma = np.array([[2.0, 1.0], [1.0, 3.0]])
-        draws = sample_mvn(np.zeros(2), sigma, seed=42, size=100_000)
-        sample_cov = draws.T @ draws / draws.shape[0]
-        np.testing.assert_allclose(sample_cov, sigma, rtol=0.03)
-
-    def test_deterministic(self):
-        a = sample_mvn(np.zeros(3), np.eye(3), seed=7, size=10)
-        b = sample_mvn(np.zeros(3), np.eye(3), seed=7, size=10)
-        np.testing.assert_array_equal(a, b)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            sample_mvn(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), seed=0)
-
-    def test_rejects_mismatched_mean(self):
-        with pytest.raises(DimensionMismatch):
-            sample_mvn(np.zeros(3), np.eye(2), seed=0)
 
 
 class TestSim2:
     def test_sigma_at_time_zero_is_diagonal(self):
         np.testing.assert_array_equal(sim2_sigma(0.0, Sim2Config()),
                                       np.diag([2.0, 3.0, 4.0]))
+
+    def test_sigma_of_a_time_array_is_the_truth_path(self):
+        cfg = Sim2Config(n=200, seed=1)
+        data = generate_sim2(cfg)
+        assert data.repairs == 0
+        sigmas = sim2_sigma(np.arange(1, 201), cfg)
+        np.testing.assert_array_equal(sigmas, data.truth.sigmas)
+        np.testing.assert_allclose(sigmas[136], sim2_sigma(137.0, cfg), rtol=0, atol=1e-15)
 
     def test_first_covariance_peak(self):
         # t = 201 is the sample closest to the quarter period of the
