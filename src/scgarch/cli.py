@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -119,13 +118,12 @@ def cmd_fit(args) -> int:
     panel = io.read_panel(args.panel)
     config = _fit_config(args)
     if args.ordering == "fixed":
-        ordering = tuple(range(panel.p))
+        result = fit_model(panel, args.model, config)
     else:
         mode = "exhaustive" if args.ordering == "bic-exhaustive" else "sampled"
-        ordering = order_by_bic(panel, config, model=args.model, mode=mode,
-                                exhaustive_limit=args.bic_limit,
-                                n_samples=args.bic_samples, seed=args.seed)
-    result = fit_model(panel, args.model, replace(config, ordering=ordering))
+        result = order_by_bic(panel, config, model=args.model, mode=mode,
+                              exhaustive_limit=args.bic_limit,
+                              n_samples=args.bic_samples, seed=args.seed)
 
     io.write_cov_path(out / "cov_path.csv", result.cov_path)
     io.write_cov_path(out / "corr_path.csv",

@@ -36,7 +36,7 @@ class SeriesTooShort(ScgarchError):
 
 
 class DegenerateSeries(ScgarchError):
-    """A series with zero variance cannot be fitted."""
+    """A series with zero variance or no finite likelihood cannot be fitted."""
 
 
 class TooManyPermutations(ScgarchError):

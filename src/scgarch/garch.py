@@ -347,11 +347,13 @@ def _descend(objective, theta, free, gtol, xtol):
     stops when the scaled gradient along the allowed moves is below
     ``gtol`` (``stationary``), after a step that moves less than
     ``xtol`` or, cut by a bound or by backtracking, gains no more than
-    rounding, or when no step decreases f.  Returns
-    ``(theta, f, grad, nit, stationary)``.
+    rounding, when no step decreases f, or at once where f is not finite
+    at the start.  Returns ``(theta, f, grad, nit, stationary)``.
     """
     theta = np.asarray(theta, dtype=float)
     f, g, info, hess = objective(theta)
+    if g is None:
+        return theta, f, g, 0, False
     near = short = False
     nit = cuts = 0
     while nit < _MAX_ITER:
@@ -413,7 +415,7 @@ def _profiled_alpha_face(e2, sigma2_init, gtol):
     one-dimensional Fisher scoring with no recursion.
     """
     exponents = np.arange(1, e2.shape[0] + 1)
-    best = (np.inf, None, None)
+    best = (np.inf, np.nan, np.nan)
     for beta in _ALPHA_FACE_BETAS:
         powers = beta ** exponents
         c = (1.0 - powers) / (1.0 - beta)
@@ -454,8 +456,7 @@ def _boundary(theta) -> str:
     return "alpha+beta=1" if _slack(theta) <= _ON_BOUND else "none"
 
 
-def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
-              gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
+def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
     """Fit a GARCH(1,1) model by constrained maximum likelihood.
 
     The likelihood is maximized over omega > 0, alpha, beta >= 0 and
@@ -483,10 +484,9 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
     SeriesTooShort
         If fewer than 20 observations are supplied.
     DegenerateSeries
-        If the series has zero variance.
+        If the series has zero variance, or no candidate has a finite
+        likelihood (its squares overflow or underflow).
     """
-    if order != (1, 1):
-        raise ValueError(f"only order (1, 1) fitting is supported, got {order}")
     eps = np.asarray(eps, dtype=float).reshape(-1)
     n = eps.shape[0]
     if n < MIN_FIT_LENGTH:
@@ -516,7 +516,9 @@ def garch_fit(eps, order: tuple[int, int] = (1, 1), *,
         runs.append(_descend(objective, _profiled_alpha_face(e2, sigma2_init, gtol),
                              _ALPHA_FACE, gtol, xtol))
 
-    theta, _, g, _, _ = min(runs, key=lambda run: run[1])
+    theta, f, g, _, _ = min(runs, key=lambda run: run[1])
+    if not math.isfinite(f):
+        raise DegenerateSeries("the likelihood is not finite at any candidate")
     params = GarchParams(*(float(x) for x in theta))
     return GarchFit(
         params=params,

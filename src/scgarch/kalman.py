@@ -8,11 +8,10 @@ no matrix inverse, and one pass of the private kernel carries a batch of
 independent regressions of one dimension, each with its own data, Q and
 measurement-variance path.  ``filter_regression`` is a batch of one, and
 ``tune_state_noise`` filters a whole grid of state-noise candidates in
-one pass.  The model's column fit, shared by the ordering search and the
-final fit, calls the kernel directly: all the regressions of one
-predecessor-set size at every candidate in one pass, so a tuned
-regression is filtered once, and coefficient paths are kept only for the
-final fit.  ``kalman_predict`` and the information-form
+one pass.  The model's column fit calls the kernel directly: all the
+regressions of one predecessor-set size at every candidate in one pass,
+keeping coefficient paths but, unlike ``filter_regression``, no
+covariance paths.  ``kalman_predict`` and the information-form
 ``kalman_update``, which matches the conjugate Gaussian posterior
 directly, are kept as the test suite's oracle.
 """
@@ -187,7 +186,7 @@ def _checked_inputs(y, x_panel, cfg: KalmanConfig, meas_var_path):
     return y, x_panel, meas_var_path
 
 
-def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
+def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False):
     """Gain-form recursion for a batch of B regressions of one dimension d.
 
     Batch element b has its own response ``y[:, b]``, regressor rows
@@ -196,9 +195,10 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
     and ``meas_var`` (n, B) may instead have a batch axis of length 1,
     shared by every element, and ``q`` has shape (B, d, d).  The prior
     ``phi0`` (d,), ``p0`` (d, d) is shared.  Returns the innovations (n, B),
-    the prediction-error log-likelihoods (B,) and, with ``keep_paths``, the
-    posterior means (n, B, d) and covariances (n, B, d, d); without it
-    both are ``None``, so a wide batch stores only (n, B) arrays.
+    the prediction-error log-likelihoods (B,), the posterior means
+    (n, B, d) with ``keep_phi`` and the posterior covariances (n, B, d, d)
+    with ``keep_p``; a path not kept is ``None``, so a wide batch stores
+    only (n, B) arrays.
 
     With a scalar observation the update needs no inverse: the gain is
     ``K = P_pred x / s`` with ``s = x' P_pred x + meas_var``, and the
@@ -226,8 +226,8 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
 
     x_cols = x_panel[:, :, :, None]
     x_rows = x_panel[:, :, None, :]
-    phi_path = np.empty((n, b, d)) if keep_paths else None
-    p_path = np.empty((n, b, d, d)) if keep_paths else None
+    phi_path = np.empty((n, b, d)) if keep_phi else None
+    p_path = np.empty((n, b, d, d)) if keep_p else None
     innovations = np.empty((n, b))
     pred_err = np.empty((n, b))
     pred_var = np.empty((n, b))
@@ -249,8 +249,9 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
         innovations[t] = y[t] - np.einsum("bd,bd->b", x_panel[t], phi[:, :, 0])
         pred_err[t] = e
         pred_var[t] = s
-        if keep_paths:
+        if keep_phi:
             phi_path[t] = phi[:, :, 0]
+        if keep_p:
             p_path[t] = p
 
     terms = LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var
@@ -263,10 +264,8 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_paths=False):
 def _checked_grid(grid) -> list[float]:
     """Validate state-noise candidates; return them in ascending order."""
     grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ValueError("grid must be non-empty")
-    if grid[0] < 0:
-        raise ValueError("state-noise candidates must be >= 0")
+    if not (grid and np.all(np.isfinite(grid)) and grid[0] >= 0):
+        raise ValueError(f"need a non-empty grid of finite values >= 0, got {grid}")
     return grid
 
 
@@ -297,7 +296,7 @@ def filter_regression(y, x_panel, cfg: KalmanConfig, meas_var_path=None) -> Kalm
     y, x_panel, meas_var = _checked_inputs(y, x_panel, cfg, meas_var_path)
     innovations, loglik, phi_path, p_path = _gain_filter(
         y[:, None], x_panel[:, None], cfg.phi0, cfg.p0, cfg.q[None], meas_var[:, None],
-        keep_paths=True)
+        keep_phi=True, keep_p=True)
     return KalmanRun(phi_path[:, 0], p_path[:, 0], innovations[:, 0], float(loglik[0]))
 
 

@@ -7,15 +7,16 @@ innovation series.  The covariance path is assembled per time step as
 ``inv(T_t) @ diag(D_t) @ inv(T_t).T``, positive definite by construction.
 
 ``fit_cgarch`` is the constant-coefficient baseline (static T from the
-full-sample regressions, GARCH step unchanged).  ``order_by_bic`` ranks
-variable orderings of either model.
+full-sample regressions, GARCH step unchanged).  ``order_by_bic`` picks
+the variable ordering of either model by BIC and returns its fit.
 
 A column's innovations and GARCH fit depend only on which variables
-precede it, so one function, ``_fit_columns``, fits (series, predecessor
-set) pairs for both the ordering search and ``fit_model``, the one
-fitter behind ``fit_scgarch`` and ``fit_cgarch``: the scgarch
-regressions of one set size go through one batched Kalman pass, and a
-tuned regression is filtered once, at all its state-noise candidates.
+precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
+the scgarch regressions of one set size in one batched Kalman pass, and
+``_assemble`` builds the fit of an ordering from its p pairs.
+``fit_model`` (behind ``fit_scgarch`` and ``fit_cgarch``) fits the pairs
+of one ordering; the search fits the pairs of all its candidates and
+assembles the one it picks, so a searched fit runs the pipeline once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .exceptions import (
     TooManyPermutations,
 )
 from .garch import GarchFit, garch_fit
-from .kalman import KalmanConfig, _best_candidate, _checked_grid, _gain_filter
+from .kalman import _best_candidate, _checked_grid, _gain_filter
 # Not called here: perfbench/spans.py wraps both names on this module.
 from .kalman import filter_regression, tune_state_noise  # noqa: F401
 from .mcd import mcd_decompose
@@ -159,7 +160,8 @@ class ScgarchConfig:
     the coefficient filter once with the fitted conditional variances as
     per-step measurement noise.  ``ordering`` is a column permutation
     applied before fitting (covariances are reported back in the original
-    variable order).
+    variable order).  A negative or non-finite noise setting, an empty
+    grid or a GARCH tolerance that is not finite and > 0 raises ValueError.
     """
 
     kappa: float = 10.0
@@ -169,6 +171,14 @@ class ScgarchConfig:
     ordering: tuple[int, ...] | None = None
     garch_gtol: float = 1e-6
     garch_xtol: float = 1e-9
+
+    def __post_init__(self):
+        noise, tols = (self.kappa, self.state_noise), (self.garch_gtol, self.garch_xtol)
+        if not (np.all(np.isfinite(noise + tols)) and min(noise) >= 0 and min(tols) > 0):
+            raise ValueError(f"kappa, state_noise must be finite and >= 0 and GARCH "
+                             f"tolerances finite and > 0, got {noise} and {tols}")
+        if self.tune_grid is not None:
+            _checked_grid(self.tune_grid)
 
 
 @dataclass
@@ -203,16 +213,6 @@ def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), _MEAS_VAR_FLOOR)
 
 
-def _default_config(yj: np.ndarray, xj: np.ndarray, config: ScgarchConfig
-                    ) -> KalmanConfig:
-    """Prior and fixed state noise from ``config``; the measurement variance
-    is the full-sample OLS residual variance of ``yj`` on ``xj``."""
-    return KalmanConfig.default(
-        xj.shape[1], meas_var=_ols_residual_variance(yj, xj),
-        kappa=config.kappa, state_noise=config.state_noise,
-    )
-
-
 def _fit_garch_column(eps: np.ndarray, config: ScgarchConfig, series: int) -> GarchFit:
     try:
         return garch_fit(eps, gtol=config.garch_gtol, xtol=config.garch_xtol)
@@ -227,37 +227,33 @@ def _assemble_cov_path(t_path: np.ndarray, d_path: np.ndarray) -> np.ndarray:
     return 0.5 * (sig + sig.transpose(0, 2, 1))
 
 
-def _unpermute(sigmas: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
-    iperm = np.argsort(np.asarray(perm))
-    return sigmas[:, iperm, :][:, :, iperm]
-
-
 MIN_FIT_PANEL_LENGTH = 50
 _MODELS = ("cgarch", "scgarch")
 
 
-def _check_length(panel: TimeSeriesPanel):
+def _check(panel: TimeSeriesPanel, model: str):
+    if model not in _MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {list(_MODELS)}")
     if panel.n < MIN_FIT_PANEL_LENGTH:
         raise DimensionMismatch(
             f"need at least {MIN_FIT_PANEL_LENGTH} observations, got {panel.n}"
         )
 
 
-def _check_model(model: str):
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {list(_MODELS)}")
+def _ordering_pairs(perm) -> list[tuple[int, frozenset]]:
+    return [(j, frozenset(perm[:k])) for k, j in enumerate(perm)]
 
 
-def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs,
-                 keep_coefs: bool = False) -> dict[tuple[int, frozenset], tuple]:
+def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs
+                 ) -> dict[tuple[int, frozenset], tuple]:
     """Fit column j of ``y`` given that the columns in the frozenset
     ``preds`` precede it, for each (j, preds) in ``pairs``.
 
     Returns ``{(j, preds): (coefs, innovations, garch_fit)}``: the
     coefficients of column j on its predecessors in ascending column index
-    (an (n, |preds|) filtered path for scgarch, ``None`` unless
-    ``keep_coefs``; the static (|preds|,) row for cgarch; ``None`` without
-    predecessors), column j's (n,) innovations and their GARCH(1,1) fit.
+    (an (n, |preds|) filtered path for scgarch, the static (|preds|,) row
+    for cgarch, ``None`` without predecessors), column j's (n,)
+    innovations and their GARCH(1,1) fit: all ``_assemble`` needs.
 
     A column's fit depends on the set, not on the order of its
     predecessors (isotropic prior and state noise, order-free OLS
@@ -281,7 +277,7 @@ def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs,
             columns = [_static_column(y, second_moment, j, preds, config)
                        for j, preds in group]
         else:
-            columns = _regression_columns(y, group, config, keep_coefs)
+            columns = _regression_columns(y, group, config)
         fitted.update(zip(group, columns))
     return fitted
 
@@ -298,49 +294,49 @@ def _static_column(y, second_moment, j: int, preds: frozenset, config: ScgarchCo
     return -t[-1, :-1], eps, _fit_garch_column(eps, config, j + 1)
 
 
-def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig,
-                        keep_coefs: bool) -> list[tuple]:
+def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tuple]:
     """Scgarch fits of (j, preds) pairs that share one set size.
 
-    One kernel pass filters every pair at every state-noise candidate
-    (B = pairs x grid, a grid of one without ``tune_grid``); each pair keeps
-    its best candidate by the rule of ``tune_state_noise``.  With
-    ``two_pass`` a second pass (B = pairs) re-filters each pair at its
-    noise with its fitted variance path.  Only the pass whose innovations
-    are returned stores coefficient paths, and only with ``keep_coefs``.
+    Prior N(0, kappa * I); measurement variance the full-sample OLS
+    residual variance of column j on its predecessors.  One kernel pass
+    filters every pair at every state-noise candidate (B = pairs x grid, a
+    grid of one without ``tune_grid``); each pair keeps its best candidate
+    by the rule of ``tune_state_noise``.  With ``two_pass`` a second pass
+    (B = pairs) re-filters each pair at its noise with its fitted variance
+    path.  Only the pass whose innovations are returned stores coefficient
+    paths, and none stores covariance paths.
     """
     targets = [j for j, _ in pairs]
     preds = [sorted(s) for _, s in pairs]
-    cfgs = []
-    for j, idx in zip(targets, preds):
-        try:
-            cfgs.append(_default_config(y[:, j], y[:, idx], config))
-        except ScgarchError as exc:
-            raise PipelineError("kalman", j + 1, exc) from exc
+    eye = np.eye(len(preds[0]))
     grid = _checked_grid(config.tune_grid) if config.tune_grid else [config.state_noise]
 
-    def filter_pass(yb, xb, q, meas_var, keep_paths):
+    def filter_pass(yb, xb, q, meas_var, keep_phi):
         try:
-            return _gain_filter(yb, xb, cfgs[0].phi0, cfgs[0].p0, q, meas_var,
-                                keep_paths)[:3]
+            return _gain_filter(yb, xb, np.zeros(len(eye)), config.kappa * eye, q,
+                                meas_var, keep_phi)[:3]
         except ScgarchError as exc:
             # Every pair has the same prior and candidates, so if one
             # fails the first-prediction check they all do.
             raise PipelineError("kalman", targets[0] + 1, exc) from exc
 
     n, g = y.shape[0], len(grid)
-    eye = np.eye(len(preds[0]))
     yb = y[:, targets]
     xb = np.stack([y[:, idx] for idx in preds], axis=1)
-    meas_var = np.broadcast_to([c.meas_var for c in cfgs], (n, len(pairs)))
+    meas_var = np.broadcast_to(
+        [_ols_residual_variance(y[:, j], y[:, idx]) for j, idx in zip(targets, preds)],
+        (n, len(pairs)))
     innovations, loglik, phi_path = filter_pass(
         np.repeat(yb, g, axis=1), np.repeat(xb, g, axis=1),
         np.tile(np.multiply.outer(grid, eye), (len(pairs), 1, 1)),
-        np.repeat(meas_var, g, axis=1), keep_coefs and not config.two_pass,
+        np.repeat(meas_var, g, axis=1), not config.two_pass,
     )
+    best = [_best_candidate(row) for row in loglik.reshape(len(pairs), g)]
+    if None in best:
+        raise PipelineError("kalman", targets[best.index(None)] + 1, ScgarchError(
+            "no state-noise candidate gives a finite predictive log-likelihood"))
     # Copy out the chosen candidates, so that what is returned does not
     # hold on to the whole grid pass.
-    best = [_best_candidate(row) for row in loglik.reshape(len(pairs), g)]
     chosen = [i * g + b for i, b in enumerate(best)]
     innovations = innovations[:, chosen]
     fits = [_fit_garch_column(innovations[:, i], config, j + 1)
@@ -348,33 +344,22 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig,
     if config.two_pass:
         innovations, _, phi_path = filter_pass(
             yb, xb, np.multiply.outer([grid[b] for b in best], eye),
-            np.column_stack([f.sigma2_path for f in fits]), keep_coefs,
+            np.column_stack([f.sigma2_path for f in fits]), True,
         )
         fits = [_fit_garch_column(innovations[:, i], config, j + 1)
                 for i, j in enumerate(targets)]
-    elif phi_path is not None:
+    else:
         phi_path = phi_path[:, chosen]
-    coefs = [None] * len(pairs) if phi_path is None else phi_path.transpose(1, 0, 2)
-    return list(zip(coefs, innovations.T, fits))
+    return list(zip(phi_path.transpose(1, 0, 2), innovations.T, fits))
 
 
-def fit_model(panel: TimeSeriesPanel, model: str,
-              config: ScgarchConfig | None = None) -> ScgarchFitResult:
-    """Fit ``model`` ("scgarch" or "cgarch") in the variable order
-    ``config.ordering`` (panel order by default).
-
-    The k-th variable of the ordering is fitted given the set of the k
-    before it, by the ordering search's column fit (``_fit_columns``), and
-    its coefficients are placed in row k of the Cholesky factor.
-    """
-    _check_model(model)
-    config = config or ScgarchConfig()
-    _check_length(panel)
+def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
+              fitted: dict) -> ScgarchFitResult:
+    """The fit of ``model`` in the order ``perm`` from column fits
+    ``fitted`` that hold its pairs: the coefficients of its k-th variable
+    go into row k of T, at the ranks of its predecessors in ``perm``."""
     n, p = panel.values.shape
-    perm = (check_permutation(config.ordering, p)
-            if config.ordering is not None else tuple(range(p)))
-    pairs = [(j, frozenset(perm[:k])) for k, j in enumerate(perm)]
-    fitted = _fit_columns(panel.values, model, config, pairs, keep_coefs=True)
+    pairs = _ordering_pairs(perm)
     rank = np.argsort(perm)
     t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
     for k, pair in enumerate(pairs[1:], start=1):
@@ -388,9 +373,25 @@ def fit_model(panel: TimeSeriesPanel, model: str,
         cholesky=CholeskyPath(t_path, d_path),
         innovations=innovations,
         garch_fits=fits,
-        cov_path=CovariancePath(_unpermute(_assemble_cov_path(t_path, d_path), perm)),
+        cov_path=CovariancePath(_assemble_cov_path(t_path, d_path)[:, rank][:, :, rank]),
         total_loglik=float(sum(f.loglik for f in fits)),
     )
+
+
+def fit_model(panel: TimeSeriesPanel, model: str,
+              config: ScgarchConfig | None = None) -> ScgarchFitResult:
+    """Fit ``model`` ("scgarch" or "cgarch") in the variable order
+    ``config.ordering`` (panel order by default).
+
+    The k-th variable of the ordering is fitted given the set of the k
+    before it, by the ordering search's column fit and assembly.
+    """
+    _check(panel, model)
+    config = config or ScgarchConfig()
+    perm = (check_permutation(config.ordering, panel.p)
+            if config.ordering is not None else tuple(range(panel.p)))
+    fitted = _fit_columns(panel.values, model, config, _ordering_pairs(perm))
+    return _assemble(panel, model, perm, fitted)
 
 
 def fit_scgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
@@ -456,8 +457,8 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                  model: str = "scgarch", mode: str = "exhaustive",
                  exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
                  n_samples: int = DEFAULT_ORDERING_SAMPLES,
-                 seed: int = 0) -> tuple[int, ...]:
-    """Choose the variable ordering minimizing the fitted model's BIC.
+                 seed: int = 0) -> ScgarchFitResult:
+    """Fit ``model`` in the variable ordering minimizing its BIC.
 
     All candidate orderings share the same parameter count, so the ranking
     reduces to total log-likelihood; BIC is still the reported criterion.
@@ -468,15 +469,16 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     p * 2**(p-1) column fits (1,024 at the default limit p = 8), and
     refuses p above ``exhaustive_limit``; sampled mode scores
     ``n_samples`` (at least 1) uniformly drawn permutations (seeded).
-    Either mode first collects the (series, set) pairs it needs and fits
-    them with ``_fit_columns``, the column fit of ``fit_model``: one
-    batched Kalman pass per set size.  Ties break toward the
-    lexicographically smallest permutation.
+    Either mode fits the (series, set) pairs it needs with one
+    ``_fit_columns`` call.  Ties break toward the lexicographically
+    smallest permutation.
+
+    Returns the fit in the chosen ``result.ordering``, assembled from the
+    search's column fits: bit for bit the fit ``fit_model`` makes in that
+    ordering.  ``config.ordering`` is not read.
     """
     config = config or ScgarchConfig()
     p = panel.p
-    if p == 1:
-        return (0,)
     if mode == "exhaustive":
         if p > exhaustive_limit:
             raise TooManyPermutations(
@@ -487,23 +489,21 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
         raise ValueError(f"unknown ordering mode {mode!r}")
     elif n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _check_model(model)
-    _check_length(panel)
-
-    def column_scores(pairs):
-        fitted = _fit_columns(panel.values, model, config, pairs)
-        return {pair: fit.loglik for pair, (_, _, fit) in fitted.items()}
-
+    _check(panel, model)
     if mode == "exhaustive":
         pairs = [(j, frozenset(s)) for size in range(p)
                  for s in itertools.combinations(range(p), size)
                  for j in range(p) if j not in s]
-        scores = column_scores(pairs)
-        return _best_ordering(p, lambda j, s: scores[(j, s)])
-
-    rng = np.random.default_rng(seed)
-    candidates = sorted({tuple(rng.permutation(p).tolist()) for _ in range(n_samples)})
-    paths = [[(j, frozenset(perm[:k])) for k, j in enumerate(perm)] for perm in candidates]
-    scores = column_scores([pair for path in paths for pair in path])
-    bics = [bic(sum(scores[pair] for pair in path), panel.n, p) for path in paths]
-    return pick_minimum(candidates, bics)
+        fitted = _fit_columns(panel.values, model, config, pairs)
+        perm = _best_ordering(p, lambda j, s: fitted[(j, s)][2].loglik)
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = sorted({tuple(rng.permutation(p).tolist())
+                             for _ in range(n_samples)})
+        paths = [_ordering_pairs(perm) for perm in candidates]
+        fitted = _fit_columns(panel.values, model, config,
+                              [pair for path in paths for pair in path])
+        bics = [bic(sum(fitted[pair][2].loglik for pair in path), panel.n, p)
+                for path in paths]
+        perm = pick_minimum(candidates, bics)
+    return _assemble(panel, model, perm, fitted)

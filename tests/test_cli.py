@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from scgarch import cli, experiments, io
+from scgarch import cli, experiments, io, model
 from scgarch.cli import main
 from scgarch.experiments import (
     BenchmarkConfig,
@@ -15,6 +15,7 @@ from scgarch.experiments import (
     run_benchmark,
     run_sim1_bias,
 )
+from scgarch.garch import GarchParams, garch_fit, simulate_garch
 from scgarch.model import TimeSeriesPanel, fit_cgarch
 
 
@@ -101,6 +102,43 @@ class TestFit:
                 "--out-dir", out)
         assert exc.value.code == 2
         assert not (out / "ordering.txt").exists()
+
+    def test_bic_fit_fits_each_column_set_once(self, tmp_path, monkeypatch):
+        # p = 4: the search fits p * 2**(p-1) = 32 (series, set) pairs, and
+        # the fit of the ordering it picks is built from them.
+        calls = []
+
+        def counting_fit(eps, **kwargs):
+            calls.append(1)
+            return garch_fit(eps, **kwargs)
+
+        monkeypatch.setattr(model, "garch_fit", counting_fit)
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 4, seed=6)
+        assert run("fit", panel_path, "--ordering", "bic-exhaustive",
+                   "--out-dir", tmp_path / "out") == 0
+        assert len(calls) == 32
+
+    @pytest.mark.parametrize("option, value", [
+        ("--kalman-kappa", "-1"), ("--kalman-kappa", "nan"), ("--kalman-q", "-1"),
+        ("--kalman-q", "nan"), ("--kalman-q", "inf"), ("--garch-gtol", "-1"),
+        ("--garch-gtol", "nan"), ("--garch-gtol", "0"), ("--garch-xtol", "-1"),
+    ])
+    def test_invalid_fit_setting_is_exit_2(self, tmp_path, option, value):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 3, seed=2)
+        out = tmp_path / "out"
+        assert run("fit", panel_path, option, value, "--out-dir", out) == 2
+        assert not (out / "cov_path.csv").exists()
+
+    def test_overflowing_series_is_exit_3(self, tmp_path, capsys):
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 120, seed=5)
+        other = np.random.default_rng(5).standard_normal(120)
+        io.write_panel(tmp_path / "panel.csv",
+                       TimeSeriesPanel(np.column_stack([eps * 1e155, other])))
+        with np.errstate(all="ignore"):
+            assert run("fit", tmp_path / "panel.csv", "--out-dir", tmp_path) == 3
+        assert "stage 'garch' failed for series 1" in capsys.readouterr().err
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert run("fit", tmp_path / "nope.csv", "--out-dir", tmp_path) == 2

@@ -281,9 +281,14 @@ class TestFit:
         with pytest.raises(SeriesTooShort):
             garch_fit(np.arange(10.0))
 
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            garch_fit(np.random.default_rng(0).standard_normal(100), order=(2, 1))
+    @pytest.mark.parametrize("scale", [1e155, 1e-160])
+    def test_no_finite_likelihood_is_degenerate(self, scale):
+        # finite values whose squares overflow or underflow: no candidate
+        # has a finite likelihood
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 300, seed=1)
+        with np.errstate(all="ignore"), \
+                pytest.raises(DegenerateSeries, match="not finite"):
+            garch_fit(eps * scale)
 
 
 class TestSimulate:

@@ -164,7 +164,7 @@ def test_batched_pass_matches_separate_filters(seed, dim, batch):
     meas_var = rng.uniform(0.1, 3.0, (n, batch))
     q_batch = np.multiply.outer(q, np.eye(dim))
     innovations, loglik, phi_path, p_path = _gain_filter(
-        y, x, cfg.phi0, cfg.p0, q_batch, meas_var, keep_paths=True)
+        y, x, cfg.phi0, cfg.p0, q_batch, meas_var, keep_phi=True, keep_p=True)
     for b in range(batch):
         run = filter_regression(y[:, b], x[:, b], cfg.with_state_noise(q[b]),
                                 meas_var_path=meas_var[:, b])
@@ -172,10 +172,15 @@ def test_batched_pass_matches_separate_filters(seed, dim, batch):
         np.testing.assert_allclose(phi_path[:, b], run.phi_path, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p_path[:, b], run.p_path, rtol=0, atol=1e-12)
         assert loglik[b] == pytest.approx(run.loglik_pe, rel=1e-12)
+    # Paths not asked for are not stored, and change nothing else.
     lean = _gain_filter(y, x, cfg.phi0, cfg.p0, q_batch, meas_var)
     np.testing.assert_array_equal(lean[0], innovations)
     np.testing.assert_array_equal(lean[1], loglik)
     assert lean[2] is None and lean[3] is None
+    means = _gain_filter(y, x, cfg.phi0, cfg.p0, q_batch, meas_var, keep_phi=True)
+    np.testing.assert_array_equal(means[0], innovations)
+    np.testing.assert_array_equal(means[2], phi_path)
+    assert means[3] is None
 
 
 class TestFilterRegression:

@@ -5,9 +5,14 @@ import numpy as np
 import pytest
 
 from scgarch import model
-from scgarch.exceptions import DimensionMismatch, PipelineError, TooManyPermutations
+from scgarch.exceptions import (
+    DegenerateSeries,
+    DimensionMismatch,
+    PipelineError,
+    TooManyPermutations,
+)
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
-from scgarch.kalman import filter_regression, tune_state_noise
+from scgarch.kalman import KalmanConfig, filter_regression, tune_state_noise
 from scgarch.model import (
     CholeskyPath,
     CovariancePath,
@@ -80,7 +85,8 @@ def oracle_column(panel, j, preds, config):
     if not preds:
         return None, y[:, j], garch_fit(y[:, j])
     yj, xj = y[:, j], y[:, list(preds)]
-    cfg = model._default_config(yj, xj, config)
+    cfg = KalmanConfig.default(len(preds), model._ols_residual_variance(yj, xj),
+                               kappa=config.kappa, state_noise=config.state_noise)
     if config.tune_grid:
         cfg = cfg.with_state_noise(tune_state_noise(yj, xj, cfg, config.tune_grid))
     run = filter_regression(yj, xj, cfg)
@@ -251,9 +257,34 @@ class TestFitScgarch:
             fit_scgarch(panel, ScgarchConfig(ordering=(1, 0)))
         assert (exc.value.stage, exc.value.index) == ("garch", 2)
 
+    @pytest.mark.parametrize("ordering, stage", [((1, 0), "garch"), ((0, 1), "kalman")])
+    def test_overflowing_series_is_a_typed_failure(self, ordering, stage):
+        # Column 2's squares overflow.  First in the ordering, its GARCH fit
+        # has no finite candidate; second, its regression has no state
+        # noise with a finite predictive likelihood.
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 200, seed=3)
+        first = np.random.default_rng(0).standard_normal(200)
+        panel = TimeSeriesPanel(np.column_stack([first, eps * 1e155]))
+        with np.errstate(all="ignore"), pytest.raises(PipelineError) as exc:
+            fit_scgarch(panel, replace(TUNED, ordering=ordering))
+        assert (exc.value.stage, exc.value.index) == (stage, 2)
+        if stage == "garch":
+            assert isinstance(exc.value.cause, DegenerateSeries)
+
     def test_rejects_short_panel(self):
         with pytest.raises(DimensionMismatch):
             fit_scgarch(iid_panel(30, [1.0, 1.0], seed=0))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("kappa", -1.0), ("kappa", np.nan), ("state_noise", -1e-4),
+    ("state_noise", np.inf), ("tune_grid", ()), ("tune_grid", (1e-4, -1e-3)),
+    ("tune_grid", (1e-4, np.nan)), ("garch_gtol", 0.0), ("garch_gtol", np.nan),
+    ("garch_xtol", -1e-9), ("garch_xtol", np.inf),
+])
+def test_config_rejects_invalid_settings(name, value):
+    with pytest.raises(ValueError):
+        ScgarchConfig(**{name: value})
 
 
 class TestFitCgarch:
@@ -286,7 +317,7 @@ class TestFitCgarch:
 
 class TestOrdering:
     def test_p1_identity(self):
-        assert order_by_bic(iid_panel(60, [1.0], seed=0)) == (0,)
+        assert order_by_bic(iid_panel(60, [1.0], seed=0)).ordering == (0,)
 
     def test_tie_breaks_lexicographically(self):
         candidates = [(0, 1), (1, 0)]
@@ -310,7 +341,7 @@ class TestOrdering:
 
     def test_sampled_mode_returns_valid_permutation(self):
         panel = causal_chain_panel(200, seed=3)
-        perm = order_by_bic(panel, mode="sampled", n_samples=5, seed=1)
+        perm = order_by_bic(panel, mode="sampled", n_samples=5, seed=1).ordering
         assert sorted(perm) == [0, 1, 2]
 
     def test_recovers_causal_order_in_majority(self):
@@ -318,7 +349,7 @@ class TestOrdering:
         reps = 100
         for rep in range(reps):
             panel = causal_chain_panel(300, seed=rep)
-            hits += order_by_bic(panel) == (0, 1, 2)
+            hits += order_by_bic(panel).ordering == (0, 1, 2)
         assert hits > reps / 2
 
     @pytest.mark.parametrize("model_name", ["scgarch", "cgarch"])
@@ -328,7 +359,8 @@ class TestOrdering:
         candidates, bics = brute_force_bics(panel, model_name, ScgarchConfig())
         top = sorted(bics)
         assert top[1] - top[0] > 1e-6  # distinct scores: the argmin is well defined
-        assert order_by_bic(panel, model=model_name) == pick_minimum(candidates, bics)
+        chosen = order_by_bic(panel, model=model_name).ordering
+        assert chosen == pick_minimum(candidates, bics)
 
     def test_dp_matches_brute_force_tuned_two_pass(self):
         panel = mixed_garch_panel(150, 3, seed=7)
@@ -336,7 +368,7 @@ class TestOrdering:
         candidates, bics = brute_force_bics(panel, "scgarch", config)
         top = sorted(bics)
         assert top[1] - top[0] > 1e-6
-        assert order_by_bic(panel, config) == pick_minimum(candidates, bics)
+        assert order_by_bic(panel, config).ordering == pick_minimum(candidates, bics)
 
     # p = 4: p * 2**(p-1) = 32 (column, predecessor set) pairs, 28 of them
     # with predecessors, which the second pass re-filters and refits
@@ -368,21 +400,31 @@ class TestOrdering:
             _, _, expected = oracle_column(panel, j, sorted(preds), config)
             assert fitted[(j, preds)][2].loglik == pytest.approx(expected.loglik, rel=1e-12)
 
-    @pytest.mark.parametrize("model_name, config", [
-        ("scgarch", ScgarchConfig()), ("scgarch", replace(TUNED, two_pass=True)),
-        ("cgarch", ScgarchConfig()),
-    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch"])
-    def test_search_pairs_add_up_to_the_final_fit(self, model_name, config):
+    @pytest.mark.parametrize("model_name, config, mode", [
+        ("scgarch", ScgarchConfig(), "exhaustive"),
+        ("scgarch", replace(TUNED, two_pass=True), "exhaustive"),
+        ("cgarch", ScgarchConfig(), "exhaustive"),
+        ("scgarch", TUNED, "sampled"),
+    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch", "scgarch-sampled"])
+    def test_search_pairs_add_up_to_the_final_fit(self, model_name, config, mode):
         # The search and the final fit share one column fit, so the pairs
-        # along the chosen ordering add up to the final fit exactly.
+        # along the chosen ordering add up to the final fit exactly, and
+        # the fit the search returns is the fit of its ordering, bit for bit.
         panel = mixed_garch_panel(150, 4, seed=6)
         fitted = model._fit_columns(panel.values, model_name, config, all_pairs(4))
-        chosen = order_by_bic(panel, config, model=model_name)
+        result = order_by_bic(panel, config, model=model_name, mode=mode,
+                              n_samples=6, seed=1)
+        chosen = result.ordering
         assert chosen != (0, 1, 2, 3)
         path_sum = sum(fitted[(j, frozenset(chosen[:k]))][2].loglik
                        for k, j in enumerate(chosen))
         final = fit_model(panel, model_name, replace(config, ordering=chosen))
-        assert path_sum == final.total_loglik
+        assert path_sum == final.total_loglik == result.total_loglik
+        np.testing.assert_array_equal(result.cov_path.sigmas, final.cov_path.sigmas)
+        np.testing.assert_array_equal(result.cholesky.t_path, final.cholesky.t_path)
+        np.testing.assert_array_equal(result.innovations, final.innovations)
+        for got, want in zip(result.garch_fits, final.garch_fits, strict=True):
+            np.testing.assert_array_equal(got.sigma2_path, want.sigma2_path)
 
     def test_sampled_mode_needs_a_sample(self):
         with pytest.raises(ValueError):
