@@ -50,6 +50,20 @@ class ConfigFileError(Exception):
     pass
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand parser that records its options, for ``--config``."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings and action.dest not in ("help", "config"):
+            self.options[action.dest] = action
+        return action
+
+
 def uint64(value) -> int:
     seed = int(value)
     if not 0 <= seed < 2**64:
@@ -233,8 +247,8 @@ def build_parser():
         description="Time-varying covariance estimation with Cholesky-"
                     "parameterized regressions and GARCH variances",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    submap = {}
+    subparsers = parser.add_subparsers(dest="command", required=True,
+                                       parser_class=_Subcommand)
 
     sim = subparsers.add_parser("simulate", help="generate synthetic data")
     sim.add_argument("kind", choices=["sim1", "sim2"])
@@ -250,7 +264,6 @@ def build_parser():
                      help="sim2 variances")
     _add_common(sim)
     sim.set_defaults(func=cmd_simulate)
-    submap["simulate"] = sim
 
     fit = subparsers.add_parser("fit", help="fit a covariance-path model to a panel")
     fit.add_argument("panel", help="panel CSV (header labels, one row per step)")
@@ -267,7 +280,6 @@ def build_parser():
     _add_fit_options(fit)
     _add_common(fit)
     fit.set_defaults(func=cmd_fit)
-    submap["fit"] = fit
 
     ev = subparsers.add_parser("evaluate",
                                help="score a covariance path against a truth")
@@ -280,7 +292,6 @@ def build_parser():
     ev.add_argument("--scale", choices=list(SCALES), default="covariance")
     _add_common(ev)
     ev.set_defaults(func=cmd_evaluate)
-    submap["evaluate"] = ev
 
     sel = subparsers.add_parser("select-block",
                                 help="choose a moving-block window width")
@@ -293,7 +304,6 @@ def build_parser():
                           "first candidate's loss")
     _add_common(sel)
     sel.set_defaults(func=cmd_select_block)
-    submap["select-block"] = sel
 
     bench = subparsers.add_parser(
         "benchmark",
@@ -310,9 +320,8 @@ def build_parser():
                        help="worker processes for replications (1 to the CPU count)")
     _add_common(bench)
     bench.set_defaults(func=cmd_benchmark)
-    submap["benchmark"] = bench
 
-    return parser, submap
+    return parser, subparsers.choices
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -324,10 +333,8 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigFileError(f"option '{key}' expects a boolean, got {raw!r}")
 
 
-def load_config_overrides(path, sub) -> dict:
+def load_config_overrides(path, sub: _Subcommand) -> dict:
     """Parse a key=value file into argparse defaults for one subcommand."""
-    actions = {a.dest: a for a in sub._actions
-               if a.option_strings and a.dest not in ("help", "config")}
     overrides = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -341,10 +348,10 @@ def load_config_overrides(path, sub) -> dict:
             raise ConfigFileError(f"{path}, line {lineno}: expected key=value")
         key, raw = (part.strip() for part in text.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in actions:
+        if dest not in sub.options:
             raise ConfigFileError(f"{path}, line {lineno}: unknown option '{key}'")
-        action = actions[dest]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        action = sub.options[dest]
+        if action.nargs == 0:
             overrides[dest] = _parse_bool(raw, key)
         elif action.nargs in ("+", "*") or isinstance(action.nargs, int):
             convert = action.type or str

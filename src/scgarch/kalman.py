@@ -3,17 +3,17 @@
 The measurement model is a linear regression ``y_t = x_t' phi_t + e_t``
 whose coefficient vector follows a Gaussian random walk with identity
 transition and state-noise covariance Q.  The filter runs in gain form
-with a Joseph covariance update: with a scalar observation the gain needs
-no matrix inverse, and one pass of the private kernel carries a batch of
-independent regressions of one dimension, each with its own data, Q and
-measurement-variance path.  ``filter_regression`` is a batch of one, and
-``tune_state_noise`` filters a whole grid of state-noise candidates in
-one pass.  The model's column fit calls the kernel directly: all the
-regressions of one predecessor-set size at every candidate in one pass,
-keeping coefficient paths but, unlike ``filter_regression``, no
-covariance paths.  ``kalman_predict`` and the information-form
-``kalman_update``, which matches the conjugate Gaussian posterior
-directly, are kept as the test suite's oracle.
+with the exactly symmetric optimal-gain covariance update: a scalar
+observation needs no matrix inverse.  One pass of the private kernel
+carries a batch of independent regressions of one dimension, each with
+its own data, Q and measurement-variance path.  ``filter_regression`` is
+a batch of one, and ``tune_state_noise`` filters a whole grid of
+state-noise candidates in one pass.  The model's column fit calls the
+kernel directly: all the regressions of one predecessor-set size at
+every candidate in one pass, keeping coefficient paths but, unlike
+``filter_regression``, no covariance paths.  ``kalman_predict`` and the
+information-form ``kalman_update``, which matches the conjugate Gaussian
+posterior directly, are kept as the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class KalmanConfig:
     phi0 : prior mean of the coefficient vector, shape (state_dim,).
     p0 : prior covariance, shape (state_dim, state_dim), symmetric PSD.
     q : state-noise covariance of the coefficient random walk, same shape.
-    meas_var : measurement noise variance, strictly positive.
+    meas_var : measurement noise variance, finite and strictly positive.
     """
 
     state_dim: int
@@ -65,8 +65,8 @@ class KalmanConfig:
             if np.linalg.eigvalsh(m)[0] < -1e-10 * max(1.0, float(np.abs(m).max())):
                 raise DimensionMismatch(f"{name} must be positive semidefinite")
             object.__setattr__(self, name, 0.5 * (m + m.T))
-        if not self.meas_var > 0:
-            raise NonPositiveMeasurementVariance(f"meas_var={self.meas_var}")
+        if not 0 < self.meas_var < np.inf:
+            raise NonPositiveMeasurementVariance(f"meas_var must be finite and > 0: {self.meas_var}")
 
     @classmethod
     def default(cls, state_dim: int, meas_var: float, kappa: float = 10.0,
@@ -140,8 +140,8 @@ def kalman_update(phi_pred, p_pred, x, y: float, meas_var: float
     The posterior covariance never exceeds the predicted one in the
     Loewner order.
     """
-    if not meas_var > 0:
-        raise NonPositiveMeasurementVariance(f"meas_var={meas_var}")
+    if not 0 < meas_var < np.inf:
+        raise NonPositiveMeasurementVariance(f"meas_var must be finite and > 0: {meas_var}")
     phi_pred = np.asarray(phi_pred, dtype=float)
     p_pred = np.asarray(p_pred, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -177,11 +177,11 @@ def _checked_inputs(y, x_panel, cfg: KalmanConfig, meas_var_path):
     if meas_var_path is None:
         return y, x_panel, np.full(n, cfg.meas_var)
     meas_var_path = np.asarray(meas_var_path, dtype=float).reshape(n)
-    bad = np.flatnonzero(~(meas_var_path > 0))
+    bad = np.flatnonzero(~((meas_var_path > 0) & (meas_var_path < np.inf)))
     if bad.size:
         t = int(bad[0])
         raise NonPositiveMeasurementVariance(
-            f"meas_var_path has non-positive entries (t={t}: {meas_var_path[t]})"
+            f"meas_var_path entries must be finite and > 0 (t={t}: {meas_var_path[t]})"
         )
     return y, x_panel, meas_var_path
 
@@ -200,11 +200,11 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
     with ``keep_p``; a path not kept is ``None``, so a wide batch stores
     only (n, B) arrays.
 
-    With a scalar observation the update needs no inverse: the gain is
-    ``K = P_pred x / s`` with ``s = x' P_pred x + meas_var``, and the
-    Joseph form ``(I - K x') P_pred (I - K x')' + meas_var K K'`` keeps the
-    covariance symmetric positive semidefinite under rounding.  A zero
-    regressor row gives ``K = 0`` and keeps the prediction exactly.
+    With ``u = P_pred x``, ``s = x' u + meas_var`` and the prediction
+    error ``e``, the optimal gain ``u / s`` moves the mean by ``u e / s``
+    and gives the covariance ``P_pred - u u' / s``, exactly symmetric as
+    each entry of ``u u'`` is one product.  The posterior residual is
+    ``e * meas_var / s``.  A zero regressor row keeps the prediction exactly.
     Because ``meas_var > 0`` every later predicted covariance is positive
     definite once the first one is, so the singularity check runs once,
     on ``p0 + q``, with the jitter ``_inv_psd`` would have allowed.
@@ -216,11 +216,10 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
     x_panel = np.ascontiguousarray(x_panel)
     n, _, d = x_panel.shape
     b = q.shape[0]
-    eye = np.eye(d)
     p_pred0 = p0 + q
     jitter = 1e-10 * np.trace(p_pred0, axis1=1, axis2=2) / d
     try:
-        np.linalg.cholesky(p_pred0 + jitter[:, None, None] * eye)
+        np.linalg.cholesky(p_pred0 + jitter[:, None, None] * np.eye(d))
     except np.linalg.LinAlgError as exc:
         raise SingularPrediction(f"t=0: covariance not invertible after jitter: {exc}")
 
@@ -228,25 +227,16 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
     x_rows = x_panel[:, :, None, :]
     phi_path = np.empty((n, b, d)) if keep_phi else None
     p_path = np.empty((n, b, d, d)) if keep_p else None
-    innovations = np.empty((n, b))
-    pred_err = np.empty((n, b))
-    pred_var = np.empty((n, b))
+    pred_err, pred_var = np.empty((2, n, b))
     phi = np.broadcast_to(phi0[:, None], (b, d, 1))
     p = p0
     for t in range(n):
-        xc, xr = x_cols[t], x_rows[t]
-        sv = meas_var[t]
         p_pred = p + q
-        u = p_pred @ xc
-        s = (xr @ u)[:, 0, 0] + sv
-        e = y[t] - (xr @ phi)[:, 0, 0]
-        k = u / s[:, None, None]
-        phi = phi + k * e[:, None, None]
-        a = eye - k @ xr
-        p = (a @ p_pred @ a.transpose(0, 2, 1)
-             + sv[:, None, None] * (k @ k.transpose(0, 2, 1)))
-        p = 0.5 * (p + p.transpose(0, 2, 1))
-        innovations[t] = y[t] - np.einsum("bd,bd->b", x_panel[t], phi[:, :, 0])
+        u = p_pred @ x_cols[t]
+        s = (x_rows[t] @ u)[:, 0, 0] + meas_var[t]
+        e = y[t] - (x_rows[t] @ phi)[:, 0, 0]
+        phi = phi + u * (e / s)[:, None, None]
+        p = p_pred - (u * u.transpose(0, 2, 1)) / s[:, None, None]
         pred_err[t] = e
         pred_var[t] = s
         if keep_phi:
@@ -254,6 +244,7 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
         if keep_p:
             p_path[t] = p
 
+    innovations = pred_err * meas_var / pred_var
     terms = LOG_2PI + np.log(pred_var) + pred_err * pred_err / pred_var
     # Each element's terms summed as one contiguous row: numpy then sums
     # pairwise, as for a batch of one, instead of adding rows in turn.

@@ -161,7 +161,8 @@ class ScgarchConfig:
     per-step measurement noise.  ``ordering`` is a column permutation
     applied before fitting (covariances are reported back in the original
     variable order).  A negative or non-finite noise setting, an empty
-    grid or a GARCH tolerance that is not finite and > 0 raises ValueError.
+    grid, ``kappa = 0`` with a zero noise candidate, or a GARCH tolerance
+    that is not finite and > 0 raises ValueError.
     """
 
     kappa: float = 10.0
@@ -177,8 +178,9 @@ class ScgarchConfig:
         if not (np.all(np.isfinite(noise + tols)) and min(noise) >= 0 and min(tols) > 0):
             raise ValueError(f"kappa, state_noise must be finite and >= 0 and GARCH "
                              f"tolerances finite and > 0, got {noise} and {tols}")
-        if self.tune_grid is not None:
-            _checked_grid(self.tune_grid)
+        grid = _checked_grid((self.state_noise,) if self.tune_grid is None else self.tune_grid)
+        if self.kappa == 0 and grid[0] == 0:
+            raise ValueError("kappa = 0 needs every state-noise candidate > 0")
 
 
 @dataclass

@@ -131,6 +131,20 @@ class TestFit:
         assert run("fit", panel_path, option, value, "--out-dir", out) == 2
         assert not (out / "cov_path.csv").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_zero_prior_with_zero_noise_is_exit_2(self, tmp_path, capsys, command):
+        # The first predicted state covariance would be zero: a settings
+        # error, not a numerical failure of a series.
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 3, seed=2)
+        args = [panel_path] if command == "fit" else ["--replications", 1, "--n", 128]
+        out = tmp_path / "out"
+        assert run(command, *args, "--kalman-kappa", 0, "--kalman-q", 0,
+                   "--out-dir", out) == 2
+        assert "kappa = 0" in capsys.readouterr().err
+        assert not (out / "cov_path.csv").exists()
+        assert not (out / "benchmark.csv").exists()
+
     def test_overflowing_series_is_exit_3(self, tmp_path, capsys):
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 120, seed=5)
         other = np.random.default_rng(5).standard_normal(120)
@@ -286,6 +300,18 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("not-an-option = 1\n")
         assert run("fit", panel_path, "--config", cfg, "--out-dir", tmp_path) == 2
+
+    def test_fixed_count_option_in_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("deltas = 64 32 16\nn = 64\n")
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert run("simulate", "sim2", "--config", cfg, "--out-dir", from_file) == 0
+        assert run("simulate", "sim2", "--n", 64, "--deltas", 64, 32, 16,
+                   "--out-dir", from_flags) == 0
+        for name in ("panel.csv", "truth_cov.csv"):
+            assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+        for out in (from_file, from_flags):
+            assert "deltas=64 32 16" in (out / "config.echo").read_text().splitlines()
 
     def test_boolean_in_config_file(self, tmp_path):
         panel_path = tmp_path / "panel.csv"

@@ -79,6 +79,11 @@ class TestUpdate:
         with pytest.raises(NonPositiveMeasurementVariance):
             kalman_update(np.zeros(1), np.eye(1), np.ones(1), 1.0, 0.0)
 
+    @pytest.mark.parametrize("meas_var", [np.inf, np.nan])
+    def test_rejects_non_finite_meas_var(self, meas_var):
+        with pytest.raises(NonPositiveMeasurementVariance, match="finite and > 0"):
+            kalman_update(np.zeros(1), np.eye(1), np.ones(1), 1.0, meas_var)
+
     def test_never_increases_uncertainty(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -172,6 +177,10 @@ def test_batched_pass_matches_separate_filters(seed, dim, batch):
         np.testing.assert_allclose(phi_path[:, b], run.phi_path, rtol=0, atol=1e-12)
         np.testing.assert_allclose(p_path[:, b], run.p_path, rtol=0, atol=1e-12)
         assert loglik[b] == pytest.approx(run.loglik_pe, rel=1e-12)
+    # The kernel forms the posterior residuals as e * R / s after the
+    # loop; they are the residuals of the kept posterior means.
+    np.testing.assert_allclose(innovations, y - np.sum(x * phi_path, axis=2),
+                               rtol=0, atol=1e-12)
     # Paths not asked for are not stored, and change nothing else.
     lean = _gain_filter(y, x, cfg.phi0, cfg.p0, q_batch, meas_var)
     np.testing.assert_array_equal(lean[0], innovations)
@@ -248,8 +257,23 @@ class TestFilterRegression:
         y = rng.standard_normal(n)
         cfg = KalmanConfig.default(3, meas_var=1.0, kappa=10.0, state_noise=1e-3)
         run = filter_regression(y, x, cfg)
-        asym = np.abs(run.p_path - np.transpose(run.p_path, (0, 2, 1))).max()
-        assert asym < 1e-12
+        np.testing.assert_array_equal(run.p_path, np.transpose(run.p_path, (0, 2, 1)))
+
+    def test_noise_free_diffuse_prior_with_collinear_regressors(self):
+        # The optimal-gain update P_pred - u u' / s under its hardest use:
+        # a diffuse prior, no state noise and nearly collinear regressors,
+        # so the posterior covariance shrinks by orders of magnitude.
+        rng = np.random.default_rng(3)
+        n, d = 2000, 3
+        x = rng.standard_normal((n, 1)) + 1e-3 * rng.standard_normal((n, d))
+        y = x @ np.array([1.0, -0.5, 0.25]) + rng.standard_normal(n)
+        cfg = KalmanConfig(d, np.zeros(d), 1e6 * np.eye(d), np.zeros((d, d)), 1.0)
+        run = filter_regression(y, x, cfg)
+        np.testing.assert_array_equal(run.p_path, np.transpose(run.p_path, (0, 2, 1)))
+        trace = np.trace(run.p_path, axis1=1, axis2=2)
+        assert np.all(np.linalg.eigvalsh(run.p_path)[:, 0] >= -1e-12 * trace)
+        phi_path = information_form_chain(y, x, cfg)[0]
+        np.testing.assert_allclose(run.phi_path[-1], phi_path[-1], rtol=0, atol=1e-5)
 
     def test_update_never_increases_trace(self):
         rng = np.random.default_rng(13)
@@ -290,6 +314,15 @@ class TestFilterRegression:
         np.testing.assert_array_equal(run_a.phi_path, run_b.phi_path)
         with pytest.raises(NonPositiveMeasurementVariance):
             filter_regression(y, x, cfg, meas_var_path=np.zeros(n))
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_meas_var_not_finite_and_positive(self, bad):
+        with pytest.raises(NonPositiveMeasurementVariance, match="finite and > 0"):
+            KalmanConfig.default(1, meas_var=bad)
+        path = np.ones(5)
+        path[3] = bad
+        with pytest.raises(NonPositiveMeasurementVariance, match="finite and > 0.*t=3"):
+            filter_regression(np.ones(5), np.ones((5, 1)), scalar_cfg(), meas_var_path=path)
 
 
 class TestTuneStateNoise:

@@ -287,6 +287,21 @@ def test_config_rejects_invalid_settings(name, value):
         ScgarchConfig(**{name: value})
 
 
+@pytest.mark.parametrize("settings", [
+    {"state_noise": 0.0}, {"tune_grid": (1e-2, 0.0)}, {"tune_grid": (0.0,)},
+])
+def test_config_rejects_zero_prior_with_a_zero_noise_candidate(settings):
+    # The first predicted state covariance kappa * I + q * I would be zero.
+    with pytest.raises(ValueError, match="kappa = 0"):
+        ScgarchConfig(kappa=0.0, **settings)
+    ScgarchConfig(kappa=1e-3, **settings)
+
+
+def test_config_accepts_zero_prior_with_positive_noise():
+    ScgarchConfig(kappa=0.0, state_noise=1e-4)
+    ScgarchConfig(kappa=0.0, state_noise=0.0, tune_grid=(1e-4, 1e-2))
+
+
 class TestFitCgarch:
     def test_static_t_agrees_with_late_filtered_t(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=8)
