@@ -4,7 +4,8 @@ Every command writes its full effective configuration (defaults, seeds
 and all) to ``config.echo`` in the output directory, so a run can be
 reproduced from its artifacts alone.  Options can also be supplied in a
 key=value config file via ``--config``; explicit flags win over the
-file, which wins over built-in defaults.
+file, which wins over built-in defaults.  A command makes its output
+directory only once it has its results: a rejected run leaves none.
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 benchmark with every replication failed.
@@ -109,10 +110,10 @@ def _fit_config(args) -> ScgarchConfig:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     if args.kind == "sim2":
         data = generate_sim2(Sim2Config(n=args.n, deltas=tuple(args.deltas),
                                         diag=tuple(args.diag), seed=args.seed))
+        out = _out_dir(args)
         io.write_panel(out / "panel.csv", data.panel)
         io.write_cov_path(out / "truth_cov.csv", data.truth)
         print(f"wrote panel.csv ({data.panel.n} x {data.panel.p}) and truth_cov.csv"
@@ -120,6 +121,7 @@ def cmd_simulate(args) -> int:
     else:
         data = generate_sim1(Sim1Config(n=args.n, q_true=args.q_true,
                                         meas_var=args.meas_var, seed=args.seed))
+        out = _out_dir(args)
         io.write_columns(out / "panel.csv", ["y", "x", "phi_true"],
                          np.column_stack([data.y, data.x, data.phi_true]))
         print(f"wrote panel.csv ({args.n} rows: y, x, phi_true)")
@@ -128,7 +130,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out = _out_dir(args)
     panel = io.read_panel(args.panel)
     config = _fit_config(args)
     if args.ordering == "fixed":
@@ -139,6 +140,7 @@ def cmd_fit(args) -> int:
                               exhaustive_limit=args.bic_limit,
                               n_samples=args.bic_samples, seed=args.seed)
 
+    out = _out_dir(args)
     io.write_cov_path(out / "cov_path.csv", result.cov_path)
     io.write_cov_path(out / "corr_path.csv",
                       CovariancePath(result.cov_path.correlations()))
@@ -163,7 +165,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args)
     if bool(args.truth) == bool(args.moving_block):
         raise ConfigFileError("exactly one of --truth or --moving-block is required")
     estimate = io.read_cov_path(args.estimate)
@@ -176,6 +177,7 @@ def cmd_evaluate(args) -> int:
         truth = moving_block_proxy(io.read_panel(args.panel), args.block_size)
         source = f"moving-block(q={args.block_size})"
     report = loss_paths(estimate, truth, args.scale)
+    out = _out_dir(args)
     io.write_eval_report(out / "eval.csv", report,
                          comment=f"truth: {source}; scale: {args.scale}")
     _echo(args, out)
@@ -185,9 +187,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_select_block(args) -> int:
-    out = _out_dir(args)
     panel = io.read_panel(args.panel)
     selection = select_block_size(panel, args.candidates, args.threshold)
+    out = _out_dir(args)
     io.write_block_table(out / "block_selection.csv", selection)
     _echo(args, out)
     if not selection.stable:
@@ -198,7 +200,6 @@ def cmd_select_block(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    out = _out_dir(args)
     if args.kalman_q is None:
         fit_cfg = ScgarchConfig(kappa=args.kalman_kappa, tune_grid=DEFAULT_TUNE_GRID)
     else:
@@ -208,6 +209,7 @@ def cmd_benchmark(args) -> int:
                         seed=args.seed, fit=fit_cfg),
         jobs=args.jobs,
     )
+    out = _out_dir(args)
     io.write_benchmark_table(out / "benchmark.csv", result)
     io.write_benchmark_failures(out / "failures.csv", result)
     _echo(args, out)

@@ -7,13 +7,13 @@ The conditional variance recursion is
 with the pre-sample squared innovation and variance both replaced by
 ``sigma2_init``.  Maximum-likelihood fitting works in the natural
 parameters over omega > 0, alpha >= 0, beta >= 0 and
-alpha + beta <= 1 - STATIONARITY_MARGIN.  Fisher scoring (Newton close to
-an optimum), with steps that stop short of every bound, searches from
-three fixed interior starts; a run that reaches a bound continues along
-it.  The faces beta = 0 (ARCH(1)) and alpha = 0 and the constant
-variance alpha = beta = 0 are fitted as lower-dimensional problems.  The
-candidate with the highest likelihood wins, and the fit names the face it
-lies on.
+alpha + beta <= 1 - STATIONARITY_MARGIN.  A grid over beta, with
+(omega, alpha) fitted at each grid point, profiles the likelihood.
+Fisher scoring (Newton close to an optimum), with steps that stop short
+of every bound and runs that continue along a bound they reach, starts
+from every local minimum of the profile.  The candidate with the highest
+likelihood, the constant variance included, wins, and the fit names the
+face it lies on.
 """
 
 from __future__ import annotations
@@ -226,10 +226,13 @@ def _neg_loglik_and_grad(z, eps, e2, e2_lag, sigma2_init):
     return f, grad
 
 
-# Fixed (alpha, beta) starting points; omega targets the sample variance.
-_FIT_STARTS = ((0.05, 0.90), (0.10, 0.80), (0.20, 0.60))
-# alpha at the start of the beta = 0 face (ARCH(1)).
-_ARCH_START = 0.1
+# beta in steps of 0.2 up to 0.8, then 1 - beta even in log down to the
+# stationarity bound: a grid even in log(1 - beta) throughout has no point
+# between 0 and 0.78 and misses optima there.
+_GRID_BETAS = np.r_[np.linspace(0.0, 0.8, 5),
+                    1.0 - np.logspace(np.log10(0.2), np.log10(STATIONARITY_MARGIN), 12)[1:]]
+# Projected scoring steps in (omega, alpha) that every grid row takes.
+_GRID_STEPS = 4
 # A step goes at most this fraction of the way to the nearest bound it
 # heads for, so a run never lands on a face it did not start on: a full
 # step can cross onto alpha = 0 and miss an interior optimum close to it.
@@ -249,15 +252,6 @@ _MAX_HALVINGS = 60
 _ROUNDING = 16 * np.finfo(float).eps
 # Guards against an endless loop only; runs stop on the rules in _descend.
 _MAX_ITER = 500
-# The alpha = 0 face is nearly flat in beta and can hold several local
-# optima, so its search starts from the best point of a beta grid even in
-# log(1 - beta), from 0 to the stationarity bound, with omega profiled out.
-_ALPHA_FACE_BETAS = 1.0 - np.logspace(0.0, np.log10(STATIONARITY_MARGIN), 26)
-_PROFILE_ITER = 30
-# Coordinates free in the interior and on each face.
-_INTERIOR = (True, True, True)
-_BETA_FACE = (True, True, False)
-_ALPHA_FACE = (True, False, True)
 # A run this close to a bound is put on it: a variance path cannot tell
 # alpha = 1e-10 from alpha = 0, and a run crawling to a bound in steps
 # cut short of it would never move along it.
@@ -289,15 +283,14 @@ def _reach(theta, d) -> tuple[float, list[bool]]:
 
 
 @cache
-def _moves(free: tuple[bool, ...], held: tuple[bool, ...]) -> np.ndarray:
-    """Columns spanning the moves over the coordinates ``free`` that keep
-    fixed what ``held`` holds: omega, or theta on the bound alpha >= 0,
-    beta >= 0 or alpha + beta <= 1 - STATIONARITY_MARGIN."""
+def _moves(held: tuple[bool, ...]) -> np.ndarray:
+    """Columns spanning the moves that keep fixed what ``held`` holds:
+    omega, or theta on the bound alpha >= 0, beta >= 0 or alpha + beta <=
+    1 - STATIONARITY_MARGIN."""
     omega_held, alpha_held, beta_held, top_held = held
-    keep = np.array(free) & np.array([not omega_held, not (alpha_held or top_held),
-                                      not (beta_held or top_held)])
+    keep = [not omega_held, not (alpha_held or top_held), not (beta_held or top_held)]
     cols = list(np.eye(3)[keep])
-    if top_held and free[1] and free[2] and not (alpha_held or beta_held):
+    if top_held and not (alpha_held or beta_held):
         cols.append(np.array([0.0, 1.0, -1.0]))
     moves = np.array(cols).reshape(-1, 3).T
     moves.setflags(write=False)
@@ -335,8 +328,8 @@ def _snap(theta) -> np.ndarray:
     return theta
 
 
-def _descend(objective, theta, free, gtol, xtol):
-    """Minimize ``objective`` from ``theta`` over the coordinates ``free``.
+def _descend(objective, theta, gtol, xtol):
+    """Minimize ``objective`` from ``theta``.
 
     Gradients and steps are measured in (log omega, alpha, beta).  Each
     iteration takes the scoring (later Newton) direction; where theta is
@@ -345,26 +338,24 @@ def _descend(objective, theta, free, gtol, xtol):
     nearest bound ahead and is halved until the Armijo condition holds.
     A run that comes within ``_SNAP`` of a bound is put on it.  The run
     stops when the scaled gradient along the allowed moves is below
-    ``gtol`` (``stationary``), after a step that moves less than
-    ``xtol`` or, cut by a bound or by backtracking, gains no more than
-    rounding, when no step decreases f, or at once where f is not finite
-    at the start.  Returns ``(theta, f, grad, nit, stationary)``.
+    ``gtol``, after a step that moves less than ``xtol`` or, cut by a
+    bound or by backtracking, gains no more than rounding, when no step
+    decreases f, or at once where f is not finite at the start.  Returns
+    ``(theta, f, grad, nit)``.
     """
     theta = np.asarray(theta, dtype=float)
     f, g, info, hess = objective(theta)
     if g is None:
-        return theta, f, g, 0, False
+        return theta, f, g, 0
     near = short = False
     nit = cuts = 0
     while nit < _MAX_ITER:
         scale = np.array([theta[0], 1.0, 1.0])
         held = (False,) * 4
         while True:
-            basis = _moves(free, held) * scale[:, None]
-            if basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < gtol:
-                return theta, f, g, nit, True
-            if short:
-                return theta, f, g, nit, False
+            basis = _moves(held) * scale[:, None]
+            if short or basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < gtol:
+                return theta, f, g, nit
             d = _direction(g, basis, info, hess)
             reach, blocked = _reach(theta, d)
             # omega > 0 is open: omega is held once it heads for 0 in steps
@@ -404,34 +395,49 @@ def _descend(objective, theta, free, gtol, xtol):
             theta = snapped
             f, g, info, hess = objective(theta, near)
             short = False
-    return theta, f, g, nit, False
+    return theta, f, g, nit
 
 
-def _profiled_alpha_face(e2, sigma2_init, gtol):
-    """Best grid point (omega, 0, beta) of the alpha = 0 face.
+def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
+    """Rows (omega, alpha, beta) of the beta grid ``_GRID_BETAS`` whose
+    negated log-likelihood, profiled over (omega, alpha), is below the
+    previous row's and no larger than the next row's.
 
-    On that face s2[t] = omega * c[t] + beta**(t+1) * sigma2_init with
-    c[t] = sum_{k<=t} beta**k, so at each grid beta omega is fitted by
-    one-dimensional Fisher scoring with no recursion.
+    At a fixed beta, s2[t] = omega * c[t] + alpha * h[t] + beta**(t+1) *
+    sigma2_init, with c[t] = (1 - beta**(t+1)) / (1 - beta) and h the
+    AR(1) filter of the lagged squares.  All rows take ``_GRID_STEPS``
+    Fisher-scoring steps at once; a step that would take alpha past 0 or
+    1 - STATIONARITY_MARGIN - beta stops it there, and omega takes the
+    best step of the quadratic model at that alpha.
     """
-    exponents = np.arange(1, e2.shape[0] + 1)
-    best = (np.inf, np.nan, np.nan)
-    for beta in _ALPHA_FACE_BETAS:
-        powers = beta ** exponents
-        c = (1.0 - powers) / (1.0 - beta)
-        b = powers * sigma2_init
-        omega = float(np.mean(e2)) * (1.0 - beta)
-        for _ in range(_PROFILE_ITER):
-            s2 = omega * c + b
-            g = c @ ((s2 - e2) / (s2 * s2))
-            if abs(omega * g) < gtol:
-                break
-            omega = max(omega - g / np.sum((c / s2) ** 2), _FRACTION_TO_BOUNDARY * omega)
-        s2 = omega * c + b
-        f = float(np.sum(np.log(s2) + e2 / s2))
-        if f < best[0]:
-            best = (f, omega, beta)
-    return np.array([best[1], 0.0, best[2]])
+    betas = _GRID_BETAS
+    drivers = np.stack([np.ones_like(e2), e2_lag])
+    paths = np.empty((betas.shape[0], *drivers.shape))
+    for path, beta in zip(paths, betas):
+        path[:] = lfilter([1.0], [1.0, -beta], drivers, axis=1)
+    # beta**(t+1) = 1 - (1 - beta) * c[t]: the presample term shifts omega
+    shift = np.column_stack([(1.0 - betas) * sigma2_init, np.zeros_like(betas)])
+    top = (1.0 - STATIONARITY_MARGIN) - betas
+    theta = np.empty((betas.shape[0], 2))
+    theta[:, 1] = 0.5 * top
+    theta[:, 0] = sigma2_init * (1.0 - theta[:, 1] - betas)
+    for _ in range(_GRID_STEPS):
+        inv = 1.0 / (((theta - shift)[:, None, :] @ paths)[:, 0] + sigma2_init)
+        u = paths * inv[:, None, :]
+        grad = (u @ (1.0 - e2 * inv)[:, :, None])[:, :, 0]
+        info = u @ u.transpose(0, 2, 1)
+        det = info[:, 0, 0] * info[:, 1, 1] - info[:, 0, 1] ** 2
+        step = np.divide(info[:, 0, 1] * grad[:, 0] - info[:, 0, 0] * grad[:, 1], det,
+                         out=np.zeros_like(det), where=det > 0)
+        alpha = np.clip(theta[:, 1] + step, 0.0, top)
+        omega = theta[:, 0] - (grad[:, 0] + info[:, 0, 1] * (alpha - theta[:, 1])) / info[:, 0, 0]
+        theta[:, 0] = np.maximum(omega, _FRACTION_TO_BOUNDARY * theta[:, 0])
+        theta[:, 1] = alpha
+    s2 = ((theta - shift)[:, None, :] @ paths)[:, 0] + sigma2_init
+    f = np.sum(np.log(s2) + e2 / s2, axis=1)
+    padded = np.r_[np.inf, f, np.inf]
+    local = (f < padded[:-2]) & (f <= padded[2:])
+    return np.column_stack([theta, betas])[local]
 
 
 def _kkt_holds(theta, g, gtol) -> bool:
@@ -463,13 +469,11 @@ def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
     alpha + beta <= 1 - STATIONARITY_MARGIN in the natural parameters.
     Candidates:
 
-    - interior runs from the three fixed ``_FIT_STARTS`` (``_descend``);
-    - the beta = 0 face (ARCH(1)), a run over (omega, alpha);
     - the constant variance omega = mean(eps**2);
-    - the alpha = 0 face, a run over (omega, beta) from the best point of
-      a beta grid with omega profiled out.  It is solved only when an
-      interior run ends on a bound or short of a stationary point, since
-      it costs more than the other candidates together.
+    - a run of ``_descend`` over (omega, alpha, beta) from every local
+      minimum of the likelihood profiled over a beta grid
+      (``_grid_starts``).  Every grid row includes alpha = 0 and the
+      first row is beta = 0, so both faces are searched on every fit.
 
     The candidate with the highest likelihood wins, and ``boundary``
     names its face: ``"none"``, ``"alpha=0"``, ``"beta=0"``,
@@ -493,37 +497,30 @@ def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
         raise SeriesTooShort(f"need at least {MIN_FIT_LENGTH} observations, got {n}")
     if not np.all(np.isfinite(eps)):
         raise InvalidParameters("series contains non-finite values")
-    v = float(np.var(eps))
-    if v <= 0 or np.all(eps == eps[0]):
+    sigma2_init = float(np.var(eps))
+    if sigma2_init <= 0 or np.all(eps == eps[0]):
         raise DegenerateSeries("series has zero variance")
 
-    sigma2_init = v
     e2 = eps * eps
     e2_lag = _lagged(e2, sigma2_init)
 
     def objective(theta, hessian=False):
         return _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian)
 
-    runs = [_descend(objective, (v * (1.0 - a0 - b0), a0, b0), _INTERIOR, gtol, xtol)
-            for a0, b0 in _FIT_STARTS]
-    interior_done = all(run[4] and min(run[0][1], run[0][2], _slack(run[0])) > _ON_BOUND
-                        for run in runs)
-    runs.append(_descend(objective, (v * (1.0 - _ARCH_START), _ARCH_START, 0.0),
-                         _BETA_FACE, gtol, xtol))
     constant = np.array([np.mean(e2), 0.0, 0.0])
-    runs.append((constant, *objective(constant)[:2], 0, True))
-    if not interior_done:
-        runs.append(_descend(objective, _profiled_alpha_face(e2, sigma2_init, gtol),
-                             _ALPHA_FACE, gtol, xtol))
+    runs = [(constant, *objective(constant)[:2], 0)]
+    runs += [_descend(objective, start, gtol, xtol)
+             for start in _grid_starts(e2, e2_lag, sigma2_init)]
 
-    theta, f, g, _, _ = min(runs, key=lambda run: run[1])
+    theta, f, g, _ = min(runs, key=lambda run: run[1])
     if not math.isfinite(f):
         raise DegenerateSeries("the likelihood is not finite at any candidate")
     params = GarchParams(*(float(x) for x in theta))
+    s2 = garch_filter(params, eps, sigma2_init)
     return GarchFit(
         params=params,
-        sigma2_path=garch_filter(params, eps, sigma2_init),
-        loglik=garch_loglik(params, eps, sigma2_init),
+        sigma2_path=s2,
+        loglik=float(-np.sum(np.log(s2) + eps * eps / s2)),
         converged=_kkt_holds(theta, g, gtol),
         iterations=sum(run[3] for run in runs),
         sigma2_init=sigma2_init,

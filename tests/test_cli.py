@@ -31,6 +31,21 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     io.write_panel(path, TimeSeriesPanel(scale * rng.standard_normal((n, p))))
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "panel.csv", "--kalman-kappa", 0, "--kalman-q", 0],
+    ["fit", "missing.csv"],
+    ["simulate", "sim1", "--n", 0],
+    ["evaluate", "panel.csv"],  # neither --truth nor --moving-block
+    ["benchmark", "--replications", 0],
+])
+def test_rejected_run_creates_no_directory(tmp_path, argv):
+    write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
+    argv = [tmp_path / a if str(a).endswith(".csv") else a for a in argv]
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 2
+    assert not out.exists()
+
+
 class TestSimulate:
     def test_sim2_default_shape(self, tmp_path):
         assert run("simulate", "sim2", "--out-dir", tmp_path) == 0
