@@ -28,7 +28,13 @@ from .evaluation import (
     moving_block_proxy,
     select_block_size,
 )
-from .exceptions import InvalidBlockSize, PanelFormatError, ScgarchError
+from .exceptions import (
+    DimensionMismatch,
+    InvalidBlockSize,
+    PanelFormatError,
+    ScgarchError,
+    TooManyPermutations,
+)
 from .experiments import DEFAULT_TUNE_GRID, BenchmarkConfig, run_benchmark
 from .model import (
     DEFAULT_EXHAUSTIVE_LIMIT,
@@ -104,8 +110,6 @@ def _fit_config(args) -> ScgarchConfig:
         state_noise=args.kalman_q,
         tune_grid=DEFAULT_TUNE_GRID if args.tune_state_noise else None,
         two_pass=args.two_pass,
-        garch_gtol=args.garch_gtol,
-        garch_xtol=args.garch_xtol,
     )
 
 
@@ -239,8 +243,6 @@ def _add_fit_options(sub):
                           "likelihood over a log grid")
     sub.add_argument("--two-pass", action="store_true",
                      help="re-filter coefficients using fitted variances")
-    sub.add_argument("--garch-gtol", type=float, default=1e-6)
-    sub.add_argument("--garch-xtol", type=float, default=1e-9)
 
 
 def build_parser():
@@ -385,8 +387,8 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, which would map it to exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (PanelFormatError, InvalidBlockSize, ConfigFileError, OSError,
-            ValueError) as exc:
+    except (PanelFormatError, InvalidBlockSize, DimensionMismatch, TooManyPermutations,
+            ConfigFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScgarchError as exc:

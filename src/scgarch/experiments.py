@@ -16,7 +16,7 @@ import numpy as np
 from .evaluation import loss_paths
 from .exceptions import ScgarchError
 from .kalman import KalmanConfig, filter_regression
-from .model import ScgarchConfig, fit_cgarch, fit_scgarch
+from .model import MIN_FIT_PANEL_LENGTH, ScgarchConfig, fit_cgarch, fit_scgarch
 from .simulate import Sim1Config, Sim2Config, generate_sim1, generate_sim2
 
 # Log-spaced candidates for predictive-likelihood tuning of the
@@ -95,7 +95,11 @@ def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
-    """Settings for the tracking benchmark on the sine-covariance design."""
+    """Settings for the tracking benchmark on the sine-covariance design.
+
+    Fewer than one replication, or panels shorter than the fits accept
+    (``MIN_FIT_PANEL_LENGTH``), raise ValueError.
+    """
 
     replications: int = 20
     n: int = 1024
@@ -103,6 +107,13 @@ class BenchmarkConfig:
     fit: ScgarchConfig = field(
         default_factory=lambda: ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
     )
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("need at least one replication")
+        if self.n < MIN_FIT_PANEL_LENGTH:
+            raise ValueError(f"need panels of at least {MIN_FIT_PANEL_LENGTH} "
+                             f"observations, got n = {self.n}")
 
 
 @dataclass
@@ -157,8 +168,6 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
     averages over its successful replications only.
     """
     cfg = cfg or BenchmarkConfig()
-    if cfg.replications < 1:
-        raise ValueError("need at least one replication")
     _check_jobs(jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -13,7 +13,9 @@ Fisher scoring (Newton close to an optimum), with steps that stop short
 of every bound and runs that continue along a bound they reach, starts
 from every local minimum of the profile.  The candidate with the highest
 likelihood, the constant variance included, wins, and the fit names the
-face it lies on.
+face it lies on.  The stopping rule is fixed here (``_GTOL`` and
+``_XTOL``): a fit is converged when the first-order conditions hold to
+``_GTOL``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from functools import cache
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import expit, logit
 
 from .exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 
@@ -189,43 +190,6 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian=False):
     return f, grad, info, hess
 
 
-def _to_unconstrained(omega: float, alpha: float, beta: float) -> np.ndarray:
-    """(omega, alpha, beta) with alpha + beta > 0 to (log omega, logit
-    persistence, logit arch share), the inverse of the map in
-    ``_neg_loglik_and_grad``."""
-    s = alpha + beta
-    return np.array([
-        np.log(omega),
-        logit(s / (1.0 - STATIONARITY_MARGIN)),
-        logit(alpha / s),
-    ])
-
-
-def _neg_loglik_and_grad(z, eps, e2, e2_lag, sigma2_init):
-    """Value and gradient of the negated log-likelihood at the unconstrained
-    point z = (a, b, c), where omega = exp(a), alpha + beta =
-    (1 - STATIONARITY_MARGIN) * expit(b) and alpha / (alpha + beta) =
-    expit(c): the natural-space gradient of ``_nll_and_derivatives``
-    through the chain rule."""
-    a, b, c = z
-    with np.errstate(over="ignore"):
-        omega = np.exp(a)
-    sb, u = expit(b), expit(c)
-    s = (1.0 - STATIONARITY_MARGIN) * sb
-    f, g, _, _ = _nll_and_derivatives((omega, s * u, s * (1.0 - u)), e2, e2_lag,
-                                      sigma2_init)
-    if g is None:
-        return np.inf, np.zeros(3)
-    grad = np.array([
-        g[0] * omega,
-        (g[1] * u + g[2] * (1.0 - u)) * s * (1.0 - sb),
-        (g[1] - g[2]) * s * u * (1.0 - u),
-    ])
-    if not np.all(np.isfinite(grad)):
-        return np.inf, np.zeros(3)
-    return f, grad
-
-
 # beta in steps of 0.2 up to 0.8, then 1 - beta even in log down to the
 # stationarity bound: a grid even in log(1 - beta) throughout has no point
 # between 0 and 0.78 and misses optima there.
@@ -250,6 +214,18 @@ _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 # f is a sum of n terms; a change below this share of |f| is rounding.
 _ROUNDING = 16 * np.finfo(float).eps
+# A run stops, and a fit is converged, once the gradient along the moves
+# the bounds allow, in (log omega, alpha, beta), is below this.  Where f
+# has curvature of order n there, a Newton step could still gain about
+# _GTOL**2 / n: far below the rounding of f.
+_GTOL = 1e-6
+# A full step that gains no more than rounding and moves every coordinate
+# of (log omega, alpha, beta) less than this ends a run.  Near an optimum
+# Newton steps are full, so without this stop a run whose gradient
+# rounding keeps above _GTOL would go on to _MAX_ITER.  A short step that
+# still gains does not stop a run: near beta = 1 on the alpha = 0 face
+# such steps still climb.
+_XTOL = 1e-9
 # Guards against an endless loop only; runs stop on the rules in _descend.
 _MAX_ITER = 500
 # A run this close to a bound is put on it: a variance path cannot tell
@@ -328,7 +304,7 @@ def _snap(theta) -> np.ndarray:
     return theta
 
 
-def _descend(objective, theta, gtol, xtol):
+def _descend(objective, theta):
     """Minimize ``objective`` from ``theta``.
 
     Gradients and steps are measured in (log omega, alpha, beta).  Each
@@ -338,10 +314,10 @@ def _descend(objective, theta, gtol, xtol):
     nearest bound ahead and is halved until the Armijo condition holds.
     A run that comes within ``_SNAP`` of a bound is put on it.  The run
     stops when the scaled gradient along the allowed moves is below
-    ``gtol``, after a step that moves less than ``xtol`` or, cut by a
-    bound or by backtracking, gains no more than rounding, when no step
-    decreases f, or at once where f is not finite at the start.  Returns
-    ``(theta, f, grad, nit)``.
+    ``_GTOL``; after a step that gains no more than rounding and was
+    either cut (by a bound or by backtracking) or moved less than
+    ``_XTOL``; when no step decreases f; or at once where f is not finite
+    at the start.  Returns ``(theta, f, grad, nit)``.
     """
     theta = np.asarray(theta, dtype=float)
     f, g, info, hess = objective(theta)
@@ -354,15 +330,15 @@ def _descend(objective, theta, gtol, xtol):
         held = (False,) * 4
         while True:
             basis = _moves(held) * scale[:, None]
-            if short or basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < gtol:
+            if short or basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < _GTOL:
                 return theta, f, g, nit
             d = _direction(g, basis, info, hess)
             reach, blocked = _reach(theta, d)
             # omega > 0 is open: omega is held once it heads for 0 in steps
-            # cut by that bound while its scaled gradient is below gtol,
+            # cut by that bound while its scaled gradient is below _GTOL,
             # so that the other coordinates are not held back with it.
             omega_cut = d[0] < 0 and _FRACTION_TO_BOUNDARY * theta[0] < -d[0]
-            blocked = (omega_cut and abs(theta[0] * g[0]) < gtol, *blocked)
+            blocked = (omega_cut and abs(theta[0] * g[0]) < _GTOL, *blocked)
             if not any(b and not h for b, h in zip(blocked, held)):
                 break
             held = tuple(b or h for b, h in zip(blocked, held))
@@ -375,7 +351,7 @@ def _descend(objective, theta, gtol, xtol):
         full = t == 1.0
         # Below rounding, a change of f carries no information: there a
         # step is accepted when the directional derivative shrinks, so a
-        # run whose gradient is still above gtol goes on.
+        # run whose gradient is still above _GTOL goes on.
         noise = _ROUNDING * abs(f)
         for _ in range(_MAX_HALVINGS):
             f_new, g_new, info_new, hess_new = objective(theta + t * d, near)
@@ -387,7 +363,7 @@ def _descend(objective, theta, gtol, xtol):
         else:
             break
         nit += 1
-        short = np.max(np.abs(t * d / scale)) < xtol or (not full and f - f_new <= noise)
+        short = f - f_new <= noise and (not full or np.max(np.abs(t * d / scale)) < _XTOL)
         theta = theta + t * d
         f, g, info, hess = f_new, g_new, info_new, hess_new
         snapped = _snap(theta)
@@ -440,17 +416,17 @@ def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
     return np.column_stack([theta, betas])[local]
 
 
-def _kkt_holds(theta, g, gtol) -> bool:
+def _kkt_holds(theta, g) -> bool:
     """First-order optimality over omega > 0, alpha, beta >= 0 and
-    alpha + beta <= 1 - STATIONARITY_MARGIN, to ``gtol`` in the scaled
+    alpha + beta <= 1 - STATIONARITY_MARGIN, to ``_GTOL`` in the scaled
     gradient: zero gradient along every coordinate off its bounds, and
     multipliers of the right sign on the bounds that are active."""
     g_ab = g[1:]
     positive = theta[1:] > 0
     mu = -float(np.mean(g_ab[positive])) if _slack(theta) <= _ON_BOUND else 0.0
     r = g_ab + mu
-    return bool(abs(theta[0] * g[0]) < gtol and mu > -gtol
-                and np.all(np.abs(r[positive]) < gtol) and np.all(r[~positive] > -gtol))
+    return bool(abs(theta[0] * g[0]) < _GTOL and mu > -_GTOL
+                and np.all(np.abs(r[positive]) < _GTOL) and np.all(r[~positive] > -_GTOL))
 
 
 def _boundary(theta) -> str:
@@ -462,7 +438,7 @@ def _boundary(theta) -> str:
     return "alpha+beta=1" if _slack(theta) <= _ON_BOUND else "none"
 
 
-def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
+def garch_fit(eps) -> GarchFit:
     """Fit a GARCH(1,1) model by constrained maximum likelihood.
 
     The likelihood is maximized over omega > 0, alpha, beta >= 0 and
@@ -477,11 +453,10 @@ def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
 
     The candidate with the highest likelihood wins, and ``boundary``
     names its face: ``"none"``, ``"alpha=0"``, ``"beta=0"``,
-    ``"constant"`` or ``"alpha+beta=1"``.  Gradients and steps are
-    measured in (log omega, alpha, beta): ``gtol`` bounds the scaled
-    gradient and ``xtol`` the last step of a run.  ``converged`` is true
-    only when the first-order (KKT) conditions hold at the reported point
-    to ``gtol``.  ``iterations`` counts the steps of every run.
+    ``"constant"`` or ``"alpha+beta=1"``.  ``converged`` is true only
+    when the first-order (KKT) conditions hold at the reported point to
+    ``_GTOL`` in the gradient scaled to (log omega, alpha, beta).
+    ``iterations`` counts the steps of every run.
 
     Raises
     ------
@@ -509,7 +484,7 @@ def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
 
     constant = np.array([np.mean(e2), 0.0, 0.0])
     runs = [(constant, *objective(constant)[:2], 0)]
-    runs += [_descend(objective, start, gtol, xtol)
+    runs += [_descend(objective, start)
              for start in _grid_starts(e2, e2_lag, sigma2_init)]
 
     theta, f, g, _ = min(runs, key=lambda run: run[1])
@@ -521,7 +496,7 @@ def garch_fit(eps, *, gtol: float = 1e-6, xtol: float = 1e-9) -> GarchFit:
         params=params,
         sigma2_path=s2,
         loglik=float(-np.sum(np.log(s2) + eps * eps / s2)),
-        converged=_kkt_holds(theta, g, gtol),
+        converged=_kkt_holds(theta, g),
         iterations=sum(run[3] for run in runs),
         sigma2_init=sigma2_init,
         boundary=_boundary(theta),

@@ -121,7 +121,7 @@ def write_cov_path(path, cov: CovariancePath):
 
 def read_cov_path(path) -> CovariancePath:
     path = Path(path)
-    entries = []
+    entries = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,16 +131,19 @@ def read_cov_path(path) -> CovariancePath:
             if not row:
                 continue
             try:
-                t, i, j = int(row[0]), int(row[1]), int(row[2])
-                entries.append((t, i, j, float(row[3])))
+                key = (int(row[0]), int(row[1]), int(row[2]))
+                value = float(row[3])
             except (ValueError, IndexError) as exc:
                 raise PanelFormatError(f"{path}, line {lineno}: {exc}")
+            if key in entries:
+                raise PanelFormatError(f"{path}, line {lineno}: duplicate entry {key}")
+            entries[key] = value
     if not entries:
         raise PanelFormatError(f"{path}: no data rows")
-    n = max(e[0] for e in entries)
-    p = max(e[1] for e in entries)
+    n = max(t for t, _, _ in entries)
+    p = max(i for _, i, _ in entries)
     sigmas = np.full((n, p, p), np.nan)
-    for t, i, j, v in entries:
+    for (t, i, j), v in entries.items():
         if not (1 <= t <= n and 1 <= i <= p and 1 <= j <= p):
             raise PanelFormatError(f"{path}: index ({t},{i},{j}) out of range")
         sigmas[t - 1, i - 1, j - 1] = v

@@ -13,7 +13,6 @@ useful for unconstrained covariance modelling.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import DimensionMismatch, NotPositiveDefinite
 
@@ -79,19 +78,22 @@ def mcd_decompose(sigma) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mcd_reconstruct(t, d) -> np.ndarray:
-    """Rebuild the covariance matrix from its decomposition.
+    """Rebuild covariance matrices from their decompositions.
 
-    Returns ``inv(t) @ diag(d) @ inv(t).T``, which is symmetric positive
-    definite for any unit lower triangular ``t`` and positive ``d``.
+    ``t`` is (..., p, p) and ``d`` is (..., p), with any leading batch
+    axes (a path of n steps is (n, p, p) and (n, p)).  Returns
+    ``inv(t) @ diag(d) @ inv(t).T`` per matrix, which is symmetric
+    positive definite for any unit lower triangular ``t`` and positive
+    ``d``.
     """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {t.shape}")
-    if d.ndim != 1 or d.shape[0] != t.shape[0]:
+    if t.ndim < 2 or t.shape[-2] != t.shape[-1]:
+        raise DimensionMismatch(f"expected square matrices, got shape {t.shape}")
+    if d.shape != t.shape[:-1]:
         raise DimensionMismatch(
-            f"variance vector of length {d.shape} does not match matrix {t.shape}"
+            f"variances of shape {d.shape} do not match matrices {t.shape}"
         )
-    tinv = solve_triangular(t, np.eye(t.shape[0]), lower=True, unit_diagonal=True)
-    sigma = (tinv * d) @ tinv.T
-    return 0.5 * (sigma + sigma.T)
+    tinv = np.linalg.solve(t, np.broadcast_to(np.eye(t.shape[-1]), t.shape))
+    sigma = np.einsum("...ik,...k,...jk->...ij", tinv, d, tinv)
+    return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))

@@ -37,7 +37,7 @@ from .garch import GarchFit, garch_fit
 from .kalman import _best_candidate, _checked_grid, _gain_filter
 # Not called here: perfbench/spans.py wraps both names on this module.
 from .kalman import filter_regression, tune_state_noise  # noqa: F401
-from .mcd import mcd_decompose
+from .mcd import mcd_decompose, mcd_reconstruct
 
 # Floor applied to the regression-residual variance so degenerate
 # (near-collinear) columns do not produce a zero measurement variance.
@@ -161,8 +161,8 @@ class ScgarchConfig:
     per-step measurement noise.  ``ordering`` is a column permutation
     applied before fitting (covariances are reported back in the original
     variable order).  A negative or non-finite noise setting, an empty
-    grid, ``kappa = 0`` with a zero noise candidate, or a GARCH tolerance
-    that is not finite and > 0 raises ValueError.
+    grid, or ``kappa = 0`` with a zero noise candidate raises ValueError.
+    The GARCH fits' stopping rule is fixed in ``garch``.
     """
 
     kappa: float = 10.0
@@ -170,14 +170,11 @@ class ScgarchConfig:
     tune_grid: tuple[float, ...] | None = None
     two_pass: bool = False
     ordering: tuple[int, ...] | None = None
-    garch_gtol: float = 1e-6
-    garch_xtol: float = 1e-9
 
     def __post_init__(self):
-        noise, tols = (self.kappa, self.state_noise), (self.garch_gtol, self.garch_xtol)
-        if not (np.all(np.isfinite(noise + tols)) and min(noise) >= 0 and min(tols) > 0):
-            raise ValueError(f"kappa, state_noise must be finite and >= 0 and GARCH "
-                             f"tolerances finite and > 0, got {noise} and {tols}")
+        noise = (self.kappa, self.state_noise)
+        if not (np.all(np.isfinite(noise)) and min(noise) >= 0):
+            raise ValueError(f"kappa, state_noise must be finite and >= 0, got {noise}")
         grid = _checked_grid((self.state_noise,) if self.tune_grid is None else self.tune_grid)
         if self.kappa == 0 and grid[0] == 0:
             raise ValueError("kappa = 0 needs every state-noise candidate > 0")
@@ -215,18 +212,11 @@ def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), _MEAS_VAR_FLOOR)
 
 
-def _fit_garch_column(eps: np.ndarray, config: ScgarchConfig, series: int) -> GarchFit:
+def _fit_garch_column(eps: np.ndarray, series: int) -> GarchFit:
     try:
-        return garch_fit(eps, gtol=config.garch_gtol, xtol=config.garch_xtol)
+        return garch_fit(eps)
     except ScgarchError as exc:
         raise PipelineError("garch", series, exc) from exc
-
-
-def _assemble_cov_path(t_path: np.ndarray, d_path: np.ndarray) -> np.ndarray:
-    n, p, _ = t_path.shape
-    tinv = np.linalg.solve(t_path, np.broadcast_to(np.eye(p), (n, p, p)))
-    sig = np.einsum("tik,tk,tjk->tij", tinv, d_path, tinv)
-    return 0.5 * (sig + sig.transpose(0, 2, 1))
 
 
 MIN_FIT_PANEL_LENGTH = 50
@@ -273,10 +263,10 @@ def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs
     fitted = {}
     for size, group in sorted(by_size.items()):
         if size == 0:
-            columns = [(None, y[:, j], _fit_garch_column(y[:, j], config, j + 1))
+            columns = [(None, y[:, j], _fit_garch_column(y[:, j], j + 1))
                        for j, _ in group]
         elif model == "cgarch":
-            columns = [_static_column(y, second_moment, j, preds, config)
+            columns = [_static_column(y, second_moment, j, preds)
                        for j, preds in group]
         else:
             columns = _regression_columns(y, group, config)
@@ -284,7 +274,7 @@ def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs
     return fitted
 
 
-def _static_column(y, second_moment, j: int, preds: frozenset, config: ScgarchConfig):
+def _static_column(y, second_moment, j: int, preds: frozenset):
     block = sorted(preds) + [j]
     try:
         t, _ = mcd_decompose(second_moment[np.ix_(block, block)])
@@ -293,7 +283,7 @@ def _static_column(y, second_moment, j: int, preds: frozenset, config: ScgarchCo
     # The product with the whole block factor, not with its last row alone,
     # gives the same bits as the product with the full-panel factor.
     eps = (y[:, block] @ t.T)[:, -1]
-    return -t[-1, :-1], eps, _fit_garch_column(eps, config, j + 1)
+    return -t[-1, :-1], eps, _fit_garch_column(eps, j + 1)
 
 
 def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tuple]:
@@ -341,14 +331,14 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
     # hold on to the whole grid pass.
     chosen = [i * g + b for i, b in enumerate(best)]
     innovations = innovations[:, chosen]
-    fits = [_fit_garch_column(innovations[:, i], config, j + 1)
+    fits = [_fit_garch_column(innovations[:, i], j + 1)
             for i, j in enumerate(targets)]
     if config.two_pass:
         innovations, _, phi_path = filter_pass(
             yb, xb, np.multiply.outer([grid[b] for b in best], eye),
             np.column_stack([f.sigma2_path for f in fits]), True,
         )
-        fits = [_fit_garch_column(innovations[:, i], config, j + 1)
+        fits = [_fit_garch_column(innovations[:, i], j + 1)
                 for i, j in enumerate(targets)]
     else:
         phi_path = phi_path[:, chosen]
@@ -375,7 +365,7 @@ def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
         cholesky=CholeskyPath(t_path, d_path),
         innovations=innovations,
         garch_fits=fits,
-        cov_path=CovariancePath(_assemble_cov_path(t_path, d_path)[:, rank][:, :, rank]),
+        cov_path=CovariancePath(mcd_reconstruct(t_path, d_path)[:, rank][:, :, rank]),
         total_loglik=float(sum(f.loglik for f in fits)),
     )
 

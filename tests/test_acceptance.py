@@ -14,8 +14,7 @@ from scgarch.cli import main as cli_main
 from scgarch.evaluation import loss_paths, moving_block_proxy, select_block_size
 from scgarch.garch import (
     GarchParams,
-    _neg_loglik_and_grad,
-    _to_unconstrained,
+    _nll_and_derivatives,
     garch_fit,
     garch_loglik,
     simulate_garch,
@@ -138,21 +137,19 @@ def test_criterion_4_garch_recovery_and_gradient():
     init = float(np.var(eps))
     e2 = eps * eps
     e2_lag = np.r_[init, e2[:-1]]
-    h = 1e-6
     worst_rel = 0.0
     for _ in range(20):
         omega = rng.uniform(0.02, 1.0)
         s = rng.uniform(0.2, 0.98)
         u = rng.uniform(0.05, 0.95)
-        z = _to_unconstrained(omega, s * u, s * (1 - u))
-        _, grad = _neg_loglik_and_grad(z, eps, e2, e2_lag, init)
+        theta = np.array([omega, s * u, s * (1 - u)])
+        _, grad, _, _ = _nll_and_derivatives(theta, e2, e2_lag, init)
         for k in range(3):
-            zp, zm = z.copy(), z.copy()
-            zp[k] += h
-            zm[k] -= h
-            fp, _ = _neg_loglik_and_grad(zp, eps, e2, e2_lag, init)
-            fm, _ = _neg_loglik_and_grad(zm, eps, e2, e2_lag, init)
-            fd = (fp - fm) / (2 * h)
+            step = np.zeros(3)
+            step[k] = 1e-6 * theta[k]
+            fp = _nll_and_derivatives(theta + step, e2, e2_lag, init)[0]
+            fm = _nll_and_derivatives(theta - step, e2, e2_lag, init)[0]
+            fd = (fp - fm) / (2 * step[k])
             worst_rel = max(worst_rel, abs(grad[k] - fd) / max(abs(fd), 1e-8))
     elapsed = time.perf_counter() - start
     assert worst_rel < 1e-4

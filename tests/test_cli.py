@@ -16,7 +16,7 @@ from scgarch.experiments import (
     run_sim1_bias,
 )
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
-from scgarch.model import TimeSeriesPanel, fit_cgarch
+from scgarch.model import CovariancePath, TimeSeriesPanel, fit_cgarch
 
 
 SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consistency.py"
@@ -37,9 +37,17 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     ["simulate", "sim1", "--n", 0],
     ["evaluate", "panel.csv"],  # neither --truth nor --moving-block
     ["benchmark", "--replications", 0],
+    ["fit", "short.csv"],  # fewer rows than a fit needs
+    ["evaluate", "cov200.csv", "--truth", "cov100.csv"],
+    ["fit", "panel.csv", "--ordering", "bic-exhaustive", "--bic-limit", 2],
+    ["benchmark", "--n", 10],
 ])
 def test_rejected_run_creates_no_directory(tmp_path, argv):
     write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
+    write_iid_panel(tmp_path / "short.csv", 30, 3, seed=2)
+    for n in (100, 200):
+        io.write_cov_path(tmp_path / f"cov{n}.csv",
+                          CovariancePath(np.broadcast_to(np.eye(2), (n, 2, 2))))
     argv = [tmp_path / a if str(a).endswith(".csv") else a for a in argv]
     out = tmp_path / "out"
     assert run(*argv, "--out-dir", out) == 2
@@ -123,9 +131,9 @@ class TestFit:
         # the fit of the ordering it picks is built from them.
         calls = []
 
-        def counting_fit(eps, **kwargs):
+        def counting_fit(eps):
             calls.append(1)
-            return garch_fit(eps, **kwargs)
+            return garch_fit(eps)
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         panel_path = tmp_path / "panel.csv"
@@ -136,8 +144,7 @@ class TestFit:
 
     @pytest.mark.parametrize("option, value", [
         ("--kalman-kappa", "-1"), ("--kalman-kappa", "nan"), ("--kalman-q", "-1"),
-        ("--kalman-q", "nan"), ("--kalman-q", "inf"), ("--garch-gtol", "-1"),
-        ("--garch-gtol", "nan"), ("--garch-gtol", "0"), ("--garch-xtol", "-1"),
+        ("--kalman-q", "nan"), ("--kalman-q", "inf"),
     ])
     def test_invalid_fit_setting_is_exit_2(self, tmp_path, option, value):
         panel_path = tmp_path / "panel.csv"
@@ -297,12 +304,12 @@ class TestConfigFile:
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 1, seed=1)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("kalman-q = 0.5\n# comment\ngarch-gtol = 1e-5\n")
+        cfg.write_text("kalman-q = 0.5\n# comment\nkalman-kappa = 2.5\n")
 
         out1 = tmp_path / "o1"
         assert run("fit", panel_path, "--config", cfg, "--out-dir", out1) == 0
         echo = (out1 / "config.echo").read_text()
-        assert "kalman_q=0.5" in echo and "garch_gtol=1.0000000000000001e-05" in echo
+        assert "kalman_q=0.5" in echo and "kalman_kappa=2.5" in echo
 
         out2 = tmp_path / "o2"
         assert run("fit", panel_path, "--config", cfg, "--kalman-q", 0.25,

@@ -3,20 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scgarch import garch
 from scgarch.exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 from scgarch.experiments import DEFAULT_TUNE_GRID
 from scgarch.garch import (
     STATIONARITY_MARGIN,
     GarchParams,
     _nll_and_derivatives,
-    _neg_loglik_and_grad,
-    _to_unconstrained,
     garch_filter,
     garch_fit,
     garch_loglik,
     simulate_garch,
 )
-from scgarch.model import ScgarchConfig, fit_scgarch
+from scgarch.model import ScgarchConfig, TimeSeriesPanel, fit_scgarch
 from scgarch.simulate import Sim2Config, generate_sim2
 
 # garch_fit(...).loglik on the innovations of fit_scgarch with the default
@@ -103,28 +102,6 @@ class TestLoglik:
 
 
 class TestGradient:
-    def test_matches_central_differences(self):
-        rng = np.random.default_rng(42)
-        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 500, seed=1)
-        init = float(np.var(eps))
-        e2 = eps * eps
-        e2_lag = np.r_[init, e2[:-1]]
-        h = 1e-6
-        for _ in range(20):
-            omega = rng.uniform(0.02, 1.0)
-            s = rng.uniform(0.2, 0.98)
-            u = rng.uniform(0.05, 0.95)
-            z = _to_unconstrained(omega, s * u, s * (1 - u))
-            _, grad = _neg_loglik_and_grad(z, eps, e2, e2_lag, init)
-            for k in range(3):
-                zp, zm = z.copy(), z.copy()
-                zp[k] += h
-                zm[k] -= h
-                fp, _ = _neg_loglik_and_grad(zp, eps, e2, e2_lag, init)
-                fm, _ = _neg_loglik_and_grad(zm, eps, e2, e2_lag, init)
-                fd = (fp - fm) / (2 * h)
-                assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-
     @staticmethod
     def _series():
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 500, seed=1)
@@ -246,11 +223,32 @@ class TestFit:
         assert fit.boundary == "constant" and fit.converged
         assert fit.params.omega == pytest.approx(np.mean(eps * eps), rel=1e-12)
 
-    def test_converged_only_where_kkt_holds(self):
+    def test_converged_only_where_kkt_holds(self, monkeypatch):
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 1000, seed=3)
         assert garch_fit(eps).converged
-        # runs stopped by a coarse step tolerance end short of gtol
-        assert not garch_fit(eps, gtol=1e-12, xtol=1e-2).converged
+        # the runs stop on rounding short of a gradient tolerance this tight
+        monkeypatch.setattr(garch, "_GTOL", 1e-15)
+        assert not garch_fit(eps).converged
+
+    def test_tight_tolerance_still_stops_near_the_optimum(self, monkeypatch):
+        # Near the optimum Newton steps are full and gain only rounding; a
+        # rule without the step-size stop ran to 505 iterations here.
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 1000, seed=3)
+        monkeypatch.setattr(garch, "_GTOL", 1e-12)
+        assert garch_fit(eps).iterations <= 30
+
+    # A rule that stopped after any step shorter than _XTOL ended these
+    # alpha = 0 runs near beta = 1 unconverged, at -3307.320728351021 and
+    # -1745.0997791994105.
+    @pytest.mark.parametrize("eps, target", [
+        (lambda: fit_scgarch(TimeSeriesPanel(np.random.default_rng(6).standard_normal(
+            (2000, 3)) * np.sqrt([1.0, 2.0, 0.5]))).innovations[:, 1], -3307.3207),
+        (lambda: generate_sim2(Sim2Config(seed=5043)).panel.values[:, 0], -1745.099778),
+    ])
+    def test_short_steps_that_still_gain_do_not_stop_a_run(self, eps, target):
+        fit = garch_fit(eps())
+        assert fit.boundary == "alpha=0" and fit.converged
+        assert fit.loglik >= target
 
     def test_recovers_simulated_parameters(self):
         errs = []

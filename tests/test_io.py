@@ -86,6 +86,14 @@ class TestCovPathRoundTrip:
         with pytest.raises(PanelFormatError, match="missing"):
             io.read_cov_path(path)
 
+    def test_duplicate_entry_names_its_line(self, tmp_path):
+        path = tmp_path / "cov.csv"
+        io.write_cov_path(path, CovariancePath(np.broadcast_to(np.eye(2), (3, 2, 2))))
+        with open(path, "a") as fh:
+            fh.write("1,1,1,99.0\n")
+        with pytest.raises(PanelFormatError, match=r"line 14: duplicate entry \(1, 1, 1\)"):
+            io.read_cov_path(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("time,i,j,v\n1,1,1,1.0\n")

@@ -64,9 +64,19 @@ class TestReconstruct:
         t, d = mcd_decompose(sigma)
         np.testing.assert_allclose(mcd_reconstruct(t, d), sigma, atol=1e-10)
 
+    def test_batch_matches_each_matrix(self):
+        rng = np.random.default_rng(3)
+        t = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+        t[:, [1, 2, 2], [0, 0, 1]] = rng.standard_normal((5, 3))
+        d = rng.exponential(size=(5, 3))
+        np.testing.assert_array_equal(mcd_reconstruct(t, d),
+                                      [mcd_reconstruct(tk, dk) for tk, dk in zip(t, d)])
+
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             mcd_reconstruct(np.eye(3), np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            mcd_reconstruct(np.broadcast_to(np.eye(3), (4, 3, 3)), np.ones(3))
 
 
 def cov_to_corr(sigma):

@@ -13,6 +13,7 @@ from scgarch.exceptions import (
 )
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
 from scgarch.kalman import KalmanConfig, filter_regression, tune_state_noise
+from scgarch.mcd import mcd_reconstruct
 from scgarch.model import (
     CholeskyPath,
     CovariancePath,
@@ -232,14 +233,13 @@ class TestFitScgarch:
         for j in (1, 2):
             t_path[:, j, :j] = -expected[j][0]
         refit = [fit for _, _, fit in expected]
-        expected_cov = model._assemble_cov_path(
-            t_path, np.column_stack([f.sigma2_path for f in refit]))
+        expected_cov = mcd_reconstruct(t_path, np.column_stack([f.sigma2_path for f in refit]))
 
         calls = []
 
-        def counting_fit(eps, **kwargs):
+        def counting_fit(eps):
             calls.append(1)
-            return garch_fit(eps, **kwargs)
+            return garch_fit(eps)
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         fit = fit_scgarch(panel, config)
@@ -279,8 +279,7 @@ class TestFitScgarch:
 @pytest.mark.parametrize("name, value", [
     ("kappa", -1.0), ("kappa", np.nan), ("state_noise", -1e-4),
     ("state_noise", np.inf), ("tune_grid", ()), ("tune_grid", (1e-4, -1e-3)),
-    ("tune_grid", (1e-4, np.nan)), ("garch_gtol", 0.0), ("garch_gtol", np.nan),
-    ("garch_xtol", -1e-9), ("garch_xtol", np.inf),
+    ("tune_grid", (1e-4, np.nan)),
 ])
 def test_config_rejects_invalid_settings(name, value):
     with pytest.raises(ValueError):
@@ -394,9 +393,9 @@ class TestOrdering:
                                               two_pass, expected):
         calls = []
 
-        def counting_fit(eps, **kwargs):
+        def counting_fit(eps):
             calls.append(1)
-            return garch_fit(eps, **kwargs)
+            return garch_fit(eps)
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         panel = mixed_garch_panel(100, 4, seed=1)
