@@ -35,10 +35,11 @@ from .exceptions import (
     ScgarchError,
     TooManyPermutations,
 )
-from .experiments import DEFAULT_TUNE_GRID, BenchmarkConfig, run_benchmark
+from .experiments import BenchmarkConfig, run_benchmark
 from .model import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_ORDERING_SAMPLES,
+    DEFAULT_TUNE_GRID,
     CovariancePath,
     ScgarchConfig,
     bic,
@@ -107,8 +108,7 @@ def _echo(args, out: Path):
 def _fit_config(args) -> ScgarchConfig:
     return ScgarchConfig(
         kappa=args.kalman_kappa,
-        state_noise=args.kalman_q,
-        tune_grid=DEFAULT_TUNE_GRID if args.tune_state_noise else None,
+        state_noise=DEFAULT_TUNE_GRID if args.tune_state_noise else (args.kalman_q,),
         two_pass=args.two_pass,
     )
 
@@ -204,10 +204,10 @@ def cmd_select_block(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.kalman_q is None:
-        fit_cfg = ScgarchConfig(kappa=args.kalman_kappa, tune_grid=DEFAULT_TUNE_GRID)
-    else:
-        fit_cfg = ScgarchConfig(kappa=args.kalman_kappa, state_noise=args.kalman_q)
+    fit_cfg = ScgarchConfig(
+        kappa=args.kalman_kappa,
+        state_noise=DEFAULT_TUNE_GRID if args.kalman_q is None else (args.kalman_q,),
+    )
     result = run_benchmark(
         BenchmarkConfig(replications=args.replications, n=args.n,
                         seed=args.seed, fit=fit_cfg),
@@ -235,7 +235,8 @@ def _add_common(sub):
 
 def _add_fit_options(sub):
     sub.add_argument("--kalman-q", type=float, default=1e-4,
-                     help="coefficient random-walk noise scale")
+                     help="coefficient random-walk noise scale (ignored with "
+                          "--tune-state-noise)")
     sub.add_argument("--kalman-kappa", type=float, default=10.0,
                      help="prior covariance scale for the coefficients")
     sub.add_argument("--tune-state-noise", action="store_true",

@@ -16,12 +16,8 @@ import numpy as np
 from .evaluation import loss_paths
 from .exceptions import ScgarchError
 from .kalman import KalmanConfig, filter_regression
-from .model import MIN_FIT_PANEL_LENGTH, ScgarchConfig, fit_cgarch, fit_scgarch
+from .model import DEFAULT_TUNE_GRID, MIN_FIT_PANEL_LENGTH, ScgarchConfig, fit_model
 from .simulate import Sim1Config, Sim2Config, generate_sim1, generate_sim2
-
-# Log-spaced candidates for predictive-likelihood tuning of the
-# coefficient random-walk noise.
-DEFAULT_TUNE_GRID = tuple(float(q) for q in np.logspace(-6, -1, 6))
 
 # Base seed for the bias study.  The filter estimate is exactly unbiased
 # by sign symmetry, so the replication average is pure Monte-Carlo noise
@@ -105,7 +101,7 @@ class BenchmarkConfig:
     n: int = 1024
     seed: int = 0
     fit: ScgarchConfig = field(
-        default_factory=lambda: ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
+        default_factory=lambda: ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
     )
 
     def __post_init__(self):
@@ -136,7 +132,7 @@ class BenchmarkResult:
         return all(row.replications == 0 for row in self.rows)
 
 
-_BENCH_MODELS = (("scgarch", fit_scgarch), ("cgarch", fit_cgarch))
+_BENCH_MODELS = ("scgarch", "cgarch")
 
 
 def _benchmark_one(rep: int, cfg: BenchmarkConfig):
@@ -147,9 +143,9 @@ def _benchmark_one(rep: int, cfg: BenchmarkConfig):
     """
     data = generate_sim2(Sim2Config(n=cfg.n, seed=cfg.seed + rep))
     losses, failures = {}, []
-    for name, fitter in _BENCH_MODELS:
+    for name in _BENCH_MODELS:
         try:
-            result = fitter(data.panel, cfg.fit)
+            result = fit_model(data.panel, name, cfg.fit)
             for scale in ("covariance", "correlation"):
                 rep_losses = loss_paths(result.cov_path, data.truth, scale)
                 losses[(name, scale)] = (rep_losses.mae, rep_losses.mse)
@@ -178,7 +174,7 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
 
     failures = [f for _, fails in outcomes for f in fails]
     rows = []
-    for name, _ in _BENCH_MODELS:
+    for name in _BENCH_MODELS:
         for scale in ("covariance", "correlation"):
             vals = [losses[(name, scale)] for losses, _ in outcomes
                     if (name, scale) in losses]

@@ -76,10 +76,6 @@ class KalmanConfig:
         return cls(state_dim, np.zeros(state_dim), kappa * eye, state_noise * eye,
                    float(meas_var))
 
-    def with_state_noise(self, state_noise: float) -> "KalmanConfig":
-        return KalmanConfig(self.state_dim, self.phi0, self.p0,
-                            state_noise * np.eye(self.state_dim), self.meas_var)
-
 
 @dataclass
 class KalmanRun:
@@ -253,7 +249,10 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
 
 
 def _checked_grid(grid) -> list[float]:
-    """Validate state-noise candidates; return them in ascending order."""
+    """Validate a sequence of state-noise candidates; return them in
+    ascending order.  A bare number raises TypeError."""
+    if np.ndim(grid) != 1:
+        raise TypeError(f"need a sequence of state-noise candidates, got {grid!r}")
     grid = sorted(float(g) for g in grid)
     if not (grid and np.all(np.isfinite(grid)) and grid[0] >= 0):
         raise ValueError(f"need a non-empty grid of finite values >= 0, got {grid}")

@@ -7,8 +7,10 @@ innovation series.  The covariance path is assembled per time step as
 ``inv(T_t) @ diag(D_t) @ inv(T_t).T``, positive definite by construction.
 
 ``fit_cgarch`` is the constant-coefficient baseline (static T from the
-full-sample regressions, GARCH step unchanged).  ``order_by_bic`` picks
-the variable ordering of either model by BIC and returns its fit.
+full-sample regressions, GARCH step unchanged).  Either fit takes the
+variables in panel order; ``fit_model(panel, model, config, ordering)``
+takes them in any order, and ``order_by_bic`` picks the ordering of
+either model by BIC and returns its fit.
 
 A column's innovations and GARCH fit depend only on which variables
 precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
@@ -46,10 +48,7 @@ _MEAS_VAR_FLOOR = 1e-12
 
 @dataclass
 class TimeSeriesPanel:
-    """An n x p panel of mean-zero observations.
-
-    Columns are addressable by integer index or by label.
-    """
+    """An n x p panel of mean-zero observations with unique column labels."""
 
     values: np.ndarray
     labels: list[str] = None
@@ -77,14 +76,6 @@ class TimeSeriesPanel:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-    def column(self, key) -> np.ndarray:
-        idx = self.labels.index(key) if isinstance(key, str) else int(key)
-        return self.values[:, idx]
-
-    def permuted(self, ordering) -> "TimeSeriesPanel":
-        perm = check_permutation(ordering, self.p)
-        return TimeSeriesPanel(self.values[:, perm], [self.labels[k] for k in perm])
 
 
 @dataclass
@@ -149,35 +140,38 @@ class CovariancePath:
         return corr
 
 
+# Log-spaced candidates for predictive-likelihood tuning of the
+# coefficient random-walk noise.
+DEFAULT_TUNE_GRID = tuple(float(q) for q in np.logspace(-6, -1, 6))
+
+
 @dataclass(frozen=True)
 class ScgarchConfig:
-    """Settings shared by the pipeline fits.
+    """Settings every scgarch column fit reads.
 
-    kappa / state_noise parameterize each regression's prior (zero mean,
-    kappa * I covariance) and random-walk noise (state_noise * I).  When
-    ``tune_grid`` is set, the state noise is chosen per regression by
-    predictive likelihood over that grid instead.  ``two_pass`` re-runs
-    the coefficient filter once with the fitted conditional variances as
-    per-step measurement noise.  ``ordering`` is a column permutation
-    applied before fitting (covariances are reported back in the original
-    variable order).  A negative or non-finite noise setting, an empty
-    grid, or ``kappa = 0`` with a zero noise candidate raises ValueError.
-    The GARCH fits' stopping rule is fixed in ``garch``.
+    Each regression has the prior N(0, kappa * I) and the random-walk
+    noise q * I, with q taken from the candidates ``state_noise``, stored
+    in ascending order: one candidate fixes the noise, several choose it
+    per regression by predictive likelihood (``DEFAULT_TUNE_GRID`` is the
+    tuned setting).  ``two_pass`` re-runs the coefficient filter once with
+    the fitted conditional variances as per-step measurement noise.  A
+    negative or non-finite kappa or candidate, no candidate, or
+    ``kappa = 0`` with a zero candidate raises ValueError; a bare number
+    for ``state_noise`` raises TypeError.  The GARCH fits' stopping rule
+    is fixed in ``garch``.
     """
 
     kappa: float = 10.0
-    state_noise: float = 1e-4
-    tune_grid: tuple[float, ...] | None = None
+    state_noise: tuple[float, ...] = (1e-4,)
     two_pass: bool = False
-    ordering: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        noise = (self.kappa, self.state_noise)
-        if not (np.all(np.isfinite(noise)) and min(noise) >= 0):
-            raise ValueError(f"kappa, state_noise must be finite and >= 0, got {noise}")
-        grid = _checked_grid((self.state_noise,) if self.tune_grid is None else self.tune_grid)
+        if not (np.isfinite(self.kappa) and self.kappa >= 0):
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        grid = tuple(_checked_grid(self.state_noise))
         if self.kappa == 0 and grid[0] == 0:
             raise ValueError("kappa = 0 needs every state-noise candidate > 0")
+        object.__setattr__(self, "state_noise", grid)
 
 
 @dataclass
@@ -185,8 +179,8 @@ class ScgarchFitResult:
     """Everything produced by one pipeline fit.
 
     ``cholesky``, ``innovations`` and ``garch_fits`` are in processing
-    order (after applying ``ordering``); ``cov_path`` is reported in the
-    original variable order.
+    order (the variables taken in ``ordering``); ``cov_path`` is reported
+    in the original variable order.
     """
 
     model: str
@@ -291,17 +285,18 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
 
     Prior N(0, kappa * I); measurement variance the full-sample OLS
     residual variance of column j on its predecessors.  One kernel pass
-    filters every pair at every state-noise candidate (B = pairs x grid, a
-    grid of one without ``tune_grid``); each pair keeps its best candidate
-    by the rule of ``tune_state_noise``.  With ``two_pass`` a second pass
-    (B = pairs) re-filters each pair at its noise with its fitted variance
-    path.  Only the pass whose innovations are returned stores coefficient
-    paths, and none stores covariance paths.
+    filters every pair at every candidate of ``config.state_noise``
+    (B = pairs x candidates); each pair keeps its best candidate by the
+    rule of ``tune_state_noise``, the only one when there is one.  With
+    ``two_pass`` a second pass (B = pairs) re-filters each pair at its
+    noise with its fitted variance path.  Only the pass whose innovations
+    are returned stores coefficient paths, and none stores covariance
+    paths.
     """
     targets = [j for j, _ in pairs]
     preds = [sorted(s) for _, s in pairs]
     eye = np.eye(len(preds[0]))
-    grid = _checked_grid(config.tune_grid) if config.tune_grid else [config.state_noise]
+    grid = config.state_noise
 
     def filter_pass(yb, xb, q, meas_var, keep_phi):
         try:
@@ -370,18 +365,20 @@ def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
     )
 
 
-def fit_model(panel: TimeSeriesPanel, model: str,
-              config: ScgarchConfig | None = None) -> ScgarchFitResult:
-    """Fit ``model`` ("scgarch" or "cgarch") in the variable order
-    ``config.ordering`` (panel order by default).
+def fit_model(panel: TimeSeriesPanel, model: str, config: ScgarchConfig | None = None,
+              ordering: tuple[int, ...] | None = None) -> ScgarchFitResult:
+    """Fit ``model`` ("scgarch" or "cgarch") with the variables taken in
+    ``ordering``, a permutation of the panel's columns (panel order by
+    default); covariances are reported in the panel's order.
 
     The k-th variable of the ordering is fitted given the set of the k
-    before it, by the ordering search's column fit and assembly.
+    before it, by the ordering search's column fit and assembly.  The
+    cgarch fit reads no ``config``.
     """
     _check(panel, model)
     config = config or ScgarchConfig()
-    perm = (check_permutation(config.ordering, panel.p)
-            if config.ordering is not None else tuple(range(panel.p)))
+    perm = (check_permutation(ordering, panel.p)
+            if ordering is not None else tuple(range(panel.p)))
     fitted = _fit_columns(panel.values, model, config, _ordering_pairs(perm))
     return _assemble(panel, model, perm, fitted)
 
@@ -392,25 +389,15 @@ def fit_scgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
     return fit_model(panel, "scgarch", config)
 
 
-def fit_cgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
-               ) -> ScgarchFitResult:
+def fit_cgarch(panel: TimeSeriesPanel) -> ScgarchFitResult:
     """Constant-coefficient baseline: static T from full-sample regressions."""
-    return fit_model(panel, "cgarch", config)
+    return fit_model(panel, "cgarch")
 
 
 def bic(total_loglik: float, n: int, p: int) -> float:
     """Bayesian information criterion with k = 3p static parameters
     (one GARCH triple per series; latent coefficient states not counted)."""
     return -2.0 * total_loglik + 3.0 * p * np.log(n)
-
-
-def pick_minimum(candidates, scores) -> tuple[int, ...]:
-    """First strict minimum over candidates already sorted for tie-breaks."""
-    best, best_score = None, np.inf
-    for cand, score in zip(candidates, scores):
-        if score < best_score:
-            best, best_score = cand, score
-    return best
 
 
 DEFAULT_EXHAUSTIVE_LIMIT = 8
@@ -467,7 +454,7 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
 
     Returns the fit in the chosen ``result.ordering``, assembled from the
     search's column fits: bit for bit the fit ``fit_model`` makes in that
-    ordering.  ``config.ordering`` is not read.
+    ordering.
     """
     config = config or ScgarchConfig()
     p = panel.p
@@ -497,5 +484,7 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                               [pair for path in paths for pair in path])
         bics = [bic(sum(fitted[pair][2].loglik for pair in path), panel.n, p)
                 for path in paths]
-        perm = pick_minimum(candidates, bics)
+        # The candidates are sorted and distinct, so an exact tie in BIC
+        # goes to the lexicographically smallest.
+        perm = min(zip(bics, candidates))[1]
     return _assemble(panel, model, perm, fitted)

@@ -21,12 +21,14 @@ from scgarch.garch import (
 )
 from scgarch.kalman import KalmanConfig, filter_regression, kalman_update
 from scgarch.mcd import mcd_decompose, mcd_reconstruct
-from scgarch.model import CovariancePath, ScgarchConfig, TimeSeriesPanel, fit_scgarch
-from scgarch.experiments import (
+from scgarch.model import (
     DEFAULT_TUNE_GRID,
-    Sim1BiasConfig,
-    run_sim1_bias,
+    CovariancePath,
+    ScgarchConfig,
+    TimeSeriesPanel,
+    fit_scgarch,
 )
+from scgarch.experiments import Sim1BiasConfig, run_sim1_bias
 from scgarch.simulate import Sim2Config, generate_sim2
 
 
@@ -176,7 +178,7 @@ def test_criterion_5_sim1_bias_shrinks_with_sample_size():
 
 def test_criterion_6_sim2_tracking():
     start = time.perf_counter()
-    config = ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
+    config = ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
     pairs = [(1, 0), (2, 0), (2, 1)]
     cors = []
     for rep in range(20):

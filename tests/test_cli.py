@@ -16,7 +16,7 @@ from scgarch.experiments import (
     run_sim1_bias,
 )
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
-from scgarch.model import CovariancePath, TimeSeriesPanel, fit_cgarch
+from scgarch.model import CovariancePath, TimeSeriesPanel, fit_model
 
 
 SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consistency.py"
@@ -275,10 +275,11 @@ class TestBenchmark:
         assert (a / "failures.csv").read_text().strip() == "replication,model,error"
 
     def test_linalg_error_is_a_recorded_failure(self, tmp_path, monkeypatch):
-        def singular_fit(panel, config):
-            raise np.linalg.LinAlgError("Singular matrix")
-        monkeypatch.setattr(experiments, "_BENCH_MODELS",
-                            (("scgarch", singular_fit), ("cgarch", fit_cgarch)))
+        def singular_fit(panel, name, config):
+            if name == "scgarch":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return fit_model(panel, name, config)
+        monkeypatch.setattr(experiments, "fit_model", singular_fit)
         assert run("benchmark", "--replications", 2, "--n", 256,
                    "--out-dir", tmp_path) == 0
         failures = (tmp_path / "failures.csv").read_text().strip().splitlines()

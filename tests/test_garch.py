@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from scgarch import garch
 from scgarch.exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
-from scgarch.experiments import DEFAULT_TUNE_GRID
 from scgarch.garch import (
     STATIONARITY_MARGIN,
     GarchParams,
@@ -15,7 +14,7 @@ from scgarch.garch import (
     garch_loglik,
     simulate_garch,
 )
-from scgarch.model import ScgarchConfig, TimeSeriesPanel, fit_scgarch
+from scgarch.model import DEFAULT_TUNE_GRID, ScgarchConfig, TimeSeriesPanel, fit_scgarch
 from scgarch.simulate import Sim2Config, generate_sim2
 
 # garch_fit(...).loglik on the innovations of fit_scgarch with the default
@@ -159,7 +158,7 @@ class TestGradient:
 
 @pytest.fixture(scope="module")
 def sim2_fits():
-    config = ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
+    config = ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
     fits = []
     for seed in range(6):
         fits += fit_scgarch(generate_sim2(Sim2Config(seed=seed)).panel, config).garch_fits
@@ -194,7 +193,7 @@ class TestFit:
         (2, 0, -1720.64), (6, 1, -1957.671), (9, 0, -1766.68),
     ])
     def test_alpha_zero_optimum_beyond_an_interior_one(self, seed, column, target):
-        config = ScgarchConfig(tune_grid=DEFAULT_TUNE_GRID)
+        config = ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
         fit = fit_scgarch(generate_sim2(Sim2Config(seed=seed)).panel, config).garch_fits[column]
         assert fit.boundary == "alpha=0" and fit.converged
         assert fit.loglik >= target

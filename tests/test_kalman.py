@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,7 +173,7 @@ def test_batched_pass_matches_separate_filters(seed, dim, batch):
     innovations, loglik, phi_path, p_path = _gain_filter(
         y, x, cfg.phi0, cfg.p0, q_batch, meas_var, keep_phi=True, keep_p=True)
     for b in range(batch):
-        run = filter_regression(y[:, b], x[:, b], cfg.with_state_noise(q[b]),
+        run = filter_regression(y[:, b], x[:, b], replace(cfg, q=q[b] * np.eye(dim)),
                                 meas_var_path=meas_var[:, b])
         np.testing.assert_allclose(innovations[:, b], run.innovations, rtol=0, atol=1e-12)
         np.testing.assert_allclose(phi_path[:, b], run.phi_path, rtol=0, atol=1e-12)
@@ -373,7 +375,7 @@ class TestTuneStateNoise:
         cfg = KalmanConfig.default(dim, meas_var=rng.uniform(0.5, 2.0))
         best_q, best_ll = None, -np.inf
         for q in sorted(grid):
-            ll = filter_regression(y, x, cfg.with_state_noise(q)).loglik_pe
+            ll = filter_regression(y, x, replace(cfg, q=q * np.eye(dim))).loglik_pe
             if ll > best_ll:
                 best_q, best_ll = q, ll
         assert tune_state_noise(y, x, cfg, grid) == best_q

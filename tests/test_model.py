@@ -24,12 +24,11 @@ from scgarch.model import (
     fit_model,
     fit_scgarch,
     order_by_bic,
-    pick_minimum,
 )
 from scgarch.model import _best_ordering
 from scgarch.simulate import Sim2Config, generate_sim2
 
-TUNED = ScgarchConfig(tune_grid=tuple(np.logspace(-6, -1, 6)))
+TUNED = ScgarchConfig(state_noise=tuple(np.logspace(-6, -1, 6)))
 
 
 def iid_panel(n, variances, seed):
@@ -77,19 +76,20 @@ def all_pairs(p):
 def oracle_column(panel, j, preds, config):
     """Column j on the columns ``preds`` (in that order), one regression at
     a time through the public Kalman functions: the state noise from
-    ``tune_state_noise`` when ``config.tune_grid`` is set, the run from
-    ``filter_regression`` and, with ``two_pass``, one re-filter at the
-    same config with the fitted variance path.  Returns the coefficient
-    path (or None without predecessors), the innovations and the GARCH fit.
+    ``tune_state_noise`` over ``config.state_noise`` (a single candidate
+    is its own choice), the run from ``filter_regression`` and, with
+    ``two_pass``, one re-filter at the same config with the fitted
+    variance path.  Returns the coefficient path (or None without
+    predecessors), the innovations and the GARCH fit.
     """
     y = panel.values
     if not preds:
         return None, y[:, j], garch_fit(y[:, j])
     yj, xj = y[:, j], y[:, list(preds)]
-    cfg = KalmanConfig.default(len(preds), model._ols_residual_variance(yj, xj),
-                               kappa=config.kappa, state_noise=config.state_noise)
-    if config.tune_grid:
-        cfg = cfg.with_state_noise(tune_state_noise(yj, xj, cfg, config.tune_grid))
+    meas_var = model._ols_residual_variance(yj, xj)
+    base = KalmanConfig.default(len(preds), meas_var, kappa=config.kappa)
+    q = tune_state_noise(yj, xj, base, config.state_noise)
+    cfg = KalmanConfig.default(len(preds), meas_var, kappa=config.kappa, state_noise=q)
     run = filter_regression(yj, xj, cfg)
     fit = garch_fit(run.innovations)
     if config.two_pass:
@@ -101,16 +101,15 @@ def oracle_column(panel, j, preds, config):
 def brute_force_bics(panel, model_name, config):
     candidates = sorted(itertools.permutations(range(panel.p)))
     return candidates, [
-        bic(fit_model(panel, model_name, replace(config, ordering=perm)).total_loglik,
-            panel.n, panel.p)
+        bic(fit_model(panel, model_name, config, perm).total_loglik, panel.n, panel.p)
         for perm in candidates
     ]
 
 
 class TestPanel:
-    def test_labels_and_column_access(self):
+    def test_labels_and_shape(self):
         panel = TimeSeriesPanel(np.arange(12.0).reshape(6, 2), ["a", "b"])
-        np.testing.assert_array_equal(panel.column("b"), panel.column(1))
+        assert panel.labels == ["a", "b"]
         assert panel.n == 6 and panel.p == 2
 
     def test_validation(self):
@@ -134,7 +133,7 @@ class TestExtractInnovations:
 
     def test_constant_coefficient_recovered(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=42)
-        fit = fit_scgarch(panel, ScgarchConfig(state_noise=0.0))
+        fit = fit_scgarch(panel, ScgarchConfig(state_noise=(0.0,)))
         late = -fit.cholesky.t_path[-100:, 1, 0]
         assert np.all(np.abs(late - 0.5) < 0.05)
 
@@ -142,7 +141,7 @@ class TestExtractInnovations:
         # T_t y_t = eps_t, with y_t taken in processing order
         panel = causal_chain_panel(300, seed=1)
         for perm in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
-            fit = fit_scgarch(panel, ScgarchConfig(ordering=perm))
+            fit = fit_model(panel, "scgarch", ScgarchConfig(), perm)
             resid = np.einsum("tij,tj->ti", fit.cholesky.t_path, panel.values[:, perm])
             np.testing.assert_allclose(resid, fit.innovations, atol=1e-10)
 
@@ -208,8 +207,8 @@ class TestFitScgarch:
     def test_permutation_contract(self):
         panel = causal_chain_panel(300, seed=13)
         perm = (2, 0, 1)
-        fit_reordered = fit_scgarch(panel, ScgarchConfig(ordering=perm))
-        fit_direct = fit_scgarch(panel.permuted(perm))
+        fit_reordered = fit_model(panel, "scgarch", ScgarchConfig(), perm)
+        fit_direct = fit_scgarch(TimeSeriesPanel(panel.values[:, perm]))
         a = fit_reordered.cov_path.sigmas
         b = fit_direct.cov_path.sigmas
         for i in range(3):
@@ -254,7 +253,7 @@ class TestFitScgarch:
         rng = np.random.default_rng(2)
         panel = TimeSeriesPanel(np.column_stack([rng.standard_normal(100), np.zeros(100)]))
         with pytest.raises(PipelineError) as exc:
-            fit_scgarch(panel, ScgarchConfig(ordering=(1, 0)))
+            fit_model(panel, "scgarch", ScgarchConfig(), (1, 0))
         assert (exc.value.stage, exc.value.index) == ("garch", 2)
 
     @pytest.mark.parametrize("ordering, stage", [((1, 0), "garch"), ((0, 1), "kalman")])
@@ -266,7 +265,7 @@ class TestFitScgarch:
         first = np.random.default_rng(0).standard_normal(200)
         panel = TimeSeriesPanel(np.column_stack([first, eps * 1e155]))
         with np.errstate(all="ignore"), pytest.raises(PipelineError) as exc:
-            fit_scgarch(panel, replace(TUNED, ordering=ordering))
+            fit_model(panel, "scgarch", TUNED, ordering)
         assert (exc.value.stage, exc.value.index) == (stage, 2)
         if stage == "garch":
             assert isinstance(exc.value.cause, DegenerateSeries)
@@ -277,17 +276,23 @@ class TestFitScgarch:
 
 
 @pytest.mark.parametrize("name, value", [
-    ("kappa", -1.0), ("kappa", np.nan), ("state_noise", -1e-4),
-    ("state_noise", np.inf), ("tune_grid", ()), ("tune_grid", (1e-4, -1e-3)),
-    ("tune_grid", (1e-4, np.nan)),
-])
+    ("kappa", -1.0), ("kappa", np.nan), ("state_noise", (-1e-4,)),
+    ("state_noise", (np.inf,)), ("state_noise", ()), ("state_noise", (1e-4, -1e-3)),
+    ("state_noise", (1e-4, np.nan)),
+], ids=["kappa--1.0", "kappa-nan", "state_noise--0.0001", "state_noise-inf",
+        "state_noise-empty", "state_noise-negative-candidate", "state_noise-nan-candidate"])
 def test_config_rejects_invalid_settings(name, value):
     with pytest.raises(ValueError):
         ScgarchConfig(**{name: value})
 
 
+def test_config_rejects_a_bare_number_for_the_state_noise():
+    with pytest.raises(TypeError):
+        ScgarchConfig(state_noise=1e-4)
+
+
 @pytest.mark.parametrize("settings", [
-    {"state_noise": 0.0}, {"tune_grid": (1e-2, 0.0)}, {"tune_grid": (0.0,)},
+    {"state_noise": (0.0,)}, {"state_noise": (1e-2, 0.0)},
 ])
 def test_config_rejects_zero_prior_with_a_zero_noise_candidate(settings):
     # The first predicted state covariance kappa * I + q * I would be zero.
@@ -297,15 +302,25 @@ def test_config_rejects_zero_prior_with_a_zero_noise_candidate(settings):
 
 
 def test_config_accepts_zero_prior_with_positive_noise():
-    ScgarchConfig(kappa=0.0, state_noise=1e-4)
-    ScgarchConfig(kappa=0.0, state_noise=0.0, tune_grid=(1e-4, 1e-2))
+    ScgarchConfig(kappa=0.0, state_noise=(1e-4,))
+    ScgarchConfig(kappa=0.0, state_noise=(1e-4, 1e-2))
+
+
+def test_config_sorts_the_state_noise_candidates():
+    unsorted = ScgarchConfig(state_noise=(1e-2, 1e-6, 1e-4))
+    assert unsorted.state_noise == (1e-6, 1e-4, 1e-2)
+    panel = causal_chain_panel(200, seed=4)
+    a = fit_scgarch(panel, unsorted)
+    b = fit_scgarch(panel, ScgarchConfig(state_noise=(1e-6, 1e-4, 1e-2)))
+    np.testing.assert_array_equal(a.cov_path.sigmas, b.cov_path.sigmas)
+    assert a.total_loglik == b.total_loglik
 
 
 class TestFitCgarch:
     def test_static_t_agrees_with_late_filtered_t(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=8)
         static = fit_cgarch(panel)
-        dynamic = fit_scgarch(panel, ScgarchConfig(state_noise=0.0))
+        dynamic = fit_scgarch(panel, ScgarchConfig(state_noise=(0.0,)))
         phi_static = -static.cholesky.t_path[0, 1, 0]
         phi_late = -dynamic.cholesky.t_path[-1, 1, 0]
         assert abs(phi_static - phi_late) < 0.05
@@ -333,16 +348,22 @@ class TestOrdering:
     def test_p1_identity(self):
         assert order_by_bic(iid_panel(60, [1.0], seed=0)).ordering == (0,)
 
-    def test_tie_breaks_lexicographically(self):
-        candidates = [(0, 1), (1, 0)]
-        assert pick_minimum(candidates, [1.0, 1.0]) == (0, 1)
-        assert pick_minimum(candidates, [2.0, 1.0]) == (1, 0)
+    def test_tie_breaks_lexicographically(self, monkeypatch):
+        # Every series scores the same log-likelihood, so every ordering ties.
+        def flat_fit(eps):
+            return replace(garch_fit(eps), loglik=0.0)
+
+        monkeypatch.setattr(model, "garch_fit", flat_fit)
+        panel = mixed_garch_panel(100, 3, seed=0)
+        for mode in ("exhaustive", "sampled"):
+            result = order_by_bic(panel, model="cgarch", mode=mode, n_samples=40, seed=5)
+            assert result.ordering == (0, 1, 2)
 
     def test_exchangeable_columns_score_alike(self):
         # same-law columns: the two orderings differ only by noise
         panel = iid_panel(400, [1.0, 1.0], seed=2)
         scores = [
-            bic(fit_scgarch(panel, ScgarchConfig(ordering=perm)).total_loglik,
+            bic(fit_model(panel, "scgarch", ScgarchConfig(), perm).total_loglik,
                 panel.n, panel.p)
             for perm in [(0, 1), (1, 0)]
         ]
@@ -374,7 +395,7 @@ class TestOrdering:
         top = sorted(bics)
         assert top[1] - top[0] > 1e-6  # distinct scores: the argmin is well defined
         chosen = order_by_bic(panel, model=model_name).ordering
-        assert chosen == pick_minimum(candidates, bics)
+        assert chosen == min(zip(bics, candidates))[1]
 
     def test_dp_matches_brute_force_tuned_two_pass(self):
         panel = mixed_garch_panel(150, 3, seed=7)
@@ -382,7 +403,7 @@ class TestOrdering:
         candidates, bics = brute_force_bics(panel, "scgarch", config)
         top = sorted(bics)
         assert top[1] - top[0] > 1e-6
-        assert order_by_bic(panel, config).ordering == pick_minimum(candidates, bics)
+        assert order_by_bic(panel, config).ordering == min(zip(bics, candidates))[1]
 
     # p = 4: p * 2**(p-1) = 32 (column, predecessor set) pairs, 28 of them
     # with predecessors, which the second pass re-filters and refits
@@ -432,7 +453,7 @@ class TestOrdering:
         assert chosen != (0, 1, 2, 3)
         path_sum = sum(fitted[(j, frozenset(chosen[:k]))][2].loglik
                        for k, j in enumerate(chosen))
-        final = fit_model(panel, model_name, replace(config, ordering=chosen))
+        final = fit_model(panel, model_name, config, chosen)
         assert path_sum == final.total_loglik == result.total_loglik
         np.testing.assert_array_equal(result.cov_path.sigmas, final.cov_path.sigmas)
         np.testing.assert_array_equal(result.cholesky.t_path, final.cholesky.t_path)
