@@ -2,10 +2,13 @@
 
 Every command writes its full effective configuration (defaults, seeds
 and all) to ``config.echo`` in the output directory, so a run can be
-reproduced from its artifacts alone.  Options can also be supplied in a
-key=value config file via ``--config``; explicit flags win over the
-file, which wins over built-in defaults.  A command makes its output
-directory only once it has its results: a rejected run leaves none.
+reproduced from its artifacts alone; ``fit --tune-state-noise`` echoes
+the state-noise candidates it searched in place of the ``--kalman-q`` it
+ignores.  Options can also be supplied in a key=value config file via
+``--config``; explicit flags win over the file, which wins over built-in
+defaults, and a required option the file sets counts as given.  A
+command makes its output directory only once it has its results: a
+rejected run leaves none.
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 benchmark with every replication failed.
@@ -100,9 +103,12 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo(args, out: Path):
-    mapping = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
-    io.write_config_echo(out / "config.echo", mapping)
+def _echo(args, out: Path, omit=(), **derived):
+    """Write every option of ``args`` but those in ``omit``, plus the
+    ``derived`` settings the run used in their place."""
+    mapping = {k: v for k, v in vars(args).items()
+               if k not in ("func", "command", *omit)}
+    io.write_config_echo(out / "config.echo", {**mapping, **derived})
 
 
 def _fit_config(args) -> ScgarchConfig:
@@ -162,7 +168,11 @@ def cmd_fit(args) -> int:
         fh.write(f"ordering={' '.join(str(k + 1) for k in result.ordering)}\n")
         fh.write(f"total_loglik={io.fmt(result.total_loglik)}\n")
         fh.write(f"bic={io.fmt(score)}\n")
-    _echo(args, out)
+    if args.tune_state_noise:
+        # The fit searched these candidates and never read --kalman-q.
+        _echo(args, out, omit=("kalman_q",), state_noise=config.state_noise)
+    else:
+        _echo(args, out)
     print(f"{result.model}: total_loglik={result.total_loglik:.6g} bic={score:.6g} "
           f"ordering={tuple(k + 1 for k in result.ordering)}")
     return EXIT_OK
@@ -329,13 +339,13 @@ def build_parser():
     return parser, subparsers.choices
 
 
-def _parse_bool(raw: str, key: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ConfigFileError(f"option '{key}' expects a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def load_config_overrides(path, sub: _Subcommand) -> dict:
@@ -356,33 +366,46 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
         if dest not in sub.options:
             raise ConfigFileError(f"{path}, line {lineno}: unknown option '{key}'")
         action = sub.options[dest]
-        if action.nargs == 0:
-            overrides[dest] = _parse_bool(raw, key)
-        elif action.nargs in ("+", "*") or isinstance(action.nargs, int):
-            convert = action.type or str
-            overrides[dest] = [convert(tok) for tok in raw.split()]
-        else:
-            convert = action.type or str
-            try:
+        convert = action.type or str
+        try:
+            if action.nargs == 0:
+                value = _parse_bool(raw)
+            elif action.nargs in ("+", "*") or isinstance(action.nargs, int):
+                value = [convert(tok) for tok in raw.split()]
+                if isinstance(action.nargs, int) and len(value) != action.nargs:
+                    raise ValueError(f"expected {action.nargs} values, got {len(value)}")
+            else:
                 value = convert(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigFileError(f"{path}, line {lineno}: {exc}")
-            if action.choices and value not in action.choices:
-                raise ConfigFileError(
-                    f"{path}, line {lineno}: '{value}' not in {action.choices}"
-                )
-            overrides[dest] = value
+                if action.choices and value not in action.choices:
+                    raise ValueError(f"'{value}' not in {action.choices}")
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigFileError(f"{path}, line {lineno}: option '{key}': {exc}")
+        overrides[dest] = value
     return overrides
+
+
+def _parse_args(parser, submap, argv):
+    """Parse ``argv``; an option that the ``--config`` file sets counts as
+    given, so a required one need not be repeated on the command line."""
+    required = [action for sub in submap.values()
+                for action in sub.options.values() if action.required]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    overrides = {}
+    if args.config:
+        sub = submap[args.command]
+        overrides = load_config_overrides(args.config, sub)
+        sub.set_defaults(**overrides)
+    for action in required:
+        action.required = action.dest not in overrides
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     parser, submap = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            sub = submap[args.command]
-            sub.set_defaults(**load_config_overrides(args.config, sub))
-            args = parser.parse_args(argv)
+        args = _parse_args(parser, submap, argv)
         return args.func(args)
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, which would map it to exit 2.

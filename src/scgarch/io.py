@@ -12,12 +12,20 @@ filled from that step's values, so no per-entry Python call is made and
 no whole file is held in memory.  ``"%.17g" % v`` and ``fmt(v)`` use the
 same float-to-string routine and ``csv.writer`` never quotes a number,
 so the bytes are those ``csv.writer`` writes, ``\r\n`` line ends included.
+
+The long-format writers format each distinct column once.  A column that
+holds one value at every step (a correlation's unit diagonal, a static
+coefficient) is formatted into the template, and a column bitwise equal
+to an earlier one (the mirror entry of a symmetric matrix) reuses that
+column's text, so the bytes are still those of one ``%.17g`` per line.
 Small tables go through ``write_table``.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -51,22 +59,83 @@ def _write_steps(fh, values: np.ndarray, step_text):
                           for t, row in enumerate(block, start + 1)]))
 
 
+def _column_sources(values: np.ndarray):
+    """Classify the columns of ``values`` (n >= 1 rows) by bit pattern.
+
+    Returns ``constant``, whether each column holds one value at every
+    step, and ``source``, the first column bitwise equal to each column.
+    Bits keep -0.0 apart from 0.0 and NaN payloads apart.  Two columns are
+    compared in full only when their first entries and bit sums agree, and
+    no column is copied.
+    """
+    bits = values.view(np.int64)
+    constant = (bits == bits[0]).all(axis=0)
+    source = list(range(bits.shape[1]))
+    seen = {}
+    for m, key in enumerate(zip(bits[0].tolist(), bits.sum(axis=0).tolist())):
+        for earlier in seen.setdefault(key, []):
+            if np.array_equal(bits[:, earlier], bits[:, m]):
+                source[m] = earlier
+                break
+        else:
+            seen[key].append(m)
+    return constant, source
+
+
 def _write_long(path, header, pairs, values: np.ndarray):
     """Long format: a ``t,a,b,value`` line per step t and index pair (a, b).
 
-    ``values`` is (n, len(pairs)), column m holding pair m's values.
+    ``values`` is (n, len(pairs)), column m holding pair m's values.  A
+    constant column's text is part of the step template.  Of the varying
+    columns, one read by a single line is formatted there from its float
+    (``%.17g``); one that later columns repeat is formatted once per chunk
+    and its text fills each of its lines (``%s``).
     """
-    template = "".join(f"%s{a},{b},%.17g\r\n" for a, b in pairs)
-    width = 2 * len(pairs)
-
-    def step_text(t, row):
-        args = [f"{t},"] * width
-        args[1::2] = row
-        return template % tuple(args)
-
+    values = np.ascontiguousarray(values, dtype=float)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        _write_steps(fh, values, step_text)
+        if not len(values):
+            return
+        constant, source = _column_sources(values)
+        uses = Counter(source[m] for m in range(len(pairs)) if not constant[m])
+        once = [m for m in uses if uses[m] == 1]
+        shared = [m for m in uses if uses[m] > 1]
+        # "\0" stands for the step's "t," prefix until a chunk fills it in.
+        lines, slots = [], []
+        for m, (a, b) in enumerate(pairs):
+            if constant[m]:
+                lines.append(f"\0{a},{b},{fmt(values[0, m])}\r\n")
+            elif uses[source[m]] == 1:
+                lines.append(f"\0{a},{b},%.17g\r\n")
+                slots.append((0, once.index(m)))
+            else:
+                lines.append(f"\0{a},{b},%s\r\n")
+                slots.append((1, shared.index(source[m])))
+        step = "".join(lines)
+
+        def picker(rows):
+            """The template's arguments, in order, from a chunk of ``rows``
+            steps: its ``once`` floats, then its ``shared`` texts, row-major."""
+            idx = [r * len(once) + k if kind == 0
+                   else rows * len(once) + r * len(shared) + k
+                   for r in range(rows) for kind, k in slots]
+            if len(idx) > 1:
+                return itemgetter(*idx)
+            return lambda chunk: tuple(chunk[i] for i in idx)
+
+        pickers = {}
+        for start in range(0, len(values), _CHUNK_STEPS):
+            block = values[start:start + _CHUNK_STEPS]
+            rows = len(block)
+            if rows not in pickers:
+                pickers[rows] = picker(rows)
+            args = block[:, once].ravel().tolist()
+            if shared:
+                texts = block[:, shared].ravel().tolist()
+                args += ("%.17g," * len(texts) % tuple(texts)).split(",")[:-1]
+            template = "".join([step.replace("\0", f"{t},")
+                                for t in range(start + 1, start + rows + 1)])
+            fh.write(template % pickers[rows](args))
 
 
 def write_columns(path, header, values):

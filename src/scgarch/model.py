@@ -129,12 +129,15 @@ class CovariancePath:
         return self.sigmas.shape[1]
 
     def correlations(self) -> np.ndarray:
-        """Per-time correlation matrices, shape (n, p, p)."""
+        """Per-time correlation matrices, shape (n, p, p), with an exact
+        unit diagonal; bitwise symmetric where ``sigmas`` is."""
         d = np.diagonal(self.sigmas, axis1=1, axis2=2)
         if np.any(d <= 0):
             raise NonPositiveDiagonal("covariance path has non-positive variances")
         inv_sd = 1.0 / np.sqrt(d)
-        corr = self.sigmas * inv_sd[:, :, None] * inv_sd[:, None, :]
+        # One product per entry of the symmetric scale matrix, so entries
+        # (i, j) and (j, i) round alike.
+        corr = self.sigmas * (inv_sd[:, :, None] * inv_sd[:, None, :])
         idx = np.arange(self.p)
         corr[:, idx, idx] = 1.0
         return corr

@@ -346,6 +346,60 @@ class TestConfigFile:
         assert "two_pass=True" in (out / "config.echo").read_text()
 
 
+    def test_echo_names_the_noise_candidates_the_fit_used(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        tuned, fixed = tmp_path / "tuned", tmp_path / "fixed"
+        assert run("fit", panel_path, "--tune-state-noise", "--kalman-q", 0.5,
+                   "--out-dir", tuned) == 0
+        echo = (tuned / "config.echo").read_text().splitlines()
+        assert not any(line.startswith("kalman_q=") for line in echo)
+        grid = " ".join(io.fmt(q) for q in model.DEFAULT_TUNE_GRID)
+        assert f"state_noise={grid}" in echo
+        assert "tune_state_noise=True" in echo
+
+        assert run("fit", panel_path, "--kalman-q", 0.5, "--out-dir", fixed) == 0
+        echo = (fixed / "config.echo").read_text().splitlines()
+        assert "kalman_q=0.5" in echo
+        assert not any(line.startswith("state_noise=") for line in echo)
+
+    def test_required_option_from_config_file(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 400, 2, seed=2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("candidates = 5 11 21\n")
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        assert run("select-block", panel_path, "--config", cfg,
+                   "--out-dir", from_file) == 0
+        assert run("select-block", panel_path, "--candidates", 5, 11, 21,
+                   "--out-dir", from_flags) == 0
+        name = "block_selection.csv"
+        assert (from_file / name).read_bytes() == (from_flags / name).read_bytes()
+
+    def test_required_option_missing_from_config_file_is_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 400, 2, seed=2)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threshold = 0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            run("select-block", panel_path, "--config", cfg, "--out-dir", tmp_path)
+        assert exc.value.code == 2
+        assert "--candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["deltas = 64 x 16", "deltas = 64 32",
+                                      "two-pass = maybe"])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, text):
+        command = "fit" if text.startswith("two-pass") else "simulate"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# bad value on line 2\n{text}\n")
+        args = [tmp_path / "panel.csv"] if command == "fit" else ["sim2"]
+        out = tmp_path / "out"
+        assert run(command, *args, "--config", cfg, "--out-dir", out) == 2
+        key = text.split("=")[0].strip()
+        assert f"{cfg}, line 2: option '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExperimentJobs:
     """``jobs`` is bounded to [1, cpu_count] before any worker starts."""
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scgarch import io
 from scgarch.evaluation import EvalReport
@@ -166,6 +168,82 @@ def test_sim1_columns_same_bytes(tmp_path):
     oracle_table(tmp_path / "old.csv", ["y", "x", "phi_true"],
                  ((fmt(y), fmt(x), fmt(p)) for y, x, p in values))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# Bit patterns a column may hold at every step: both zeros, both infinities,
+# the smallest subnormal and NaNs with different payloads and signs.
+CONSTANT_BITS = [0, -(1 << 63), 0x3FF0000000000000, 0x7FF0000000000000,
+                 -0x0010000000000000, 1, 0x7FF8000000000000, 0x7FF8000000000001,
+                 -0x0008000000000000, 0x7FF0000000000003]
+
+
+@st.composite
+def structured_columns(draw, width):
+    """(n, width) values whose columns are random, constant, copies of an
+    earlier column, copies that differ from it at one step only, or copies
+    with two steps swapped (same first entry and bit sum)."""
+    n = draw(st.sampled_from(SIZES) | st.integers(1, 3 * CHUNK))
+    values = values_with_specials((n, width), draw(st.integers(0, 2**32 - 1)),
+                                  SPECIAL)
+    bits = values.view(np.int64)
+    for m in range(width):
+        kind = draw(st.sampled_from(["random", "constant", "copy", "copy_but_one",
+                                     "copy_swapped"]))
+        if kind == "constant":
+            bits[:, m] = draw(st.sampled_from(CONSTANT_BITS))
+        elif kind != "random" and m > 0:
+            bits[:, m] = bits[:, draw(st.integers(0, m - 1))]
+            if kind == "copy_but_one":
+                step = draw(st.sampled_from([0, n - 1]) | st.integers(0, n - 1))
+                # The last mantissa bit or the sign: 1 ulp, -0.0 vs 0.0, or
+                # another NaN payload.
+                bits[step, m] ^= draw(st.sampled_from([1, -(1 << 63)]))
+            elif kind == "copy_swapped" and n > 2:
+                a, b = draw(st.sampled_from([(n - 2, n - 1), (1, n - 1)]))
+                bits[[a, b], m] = bits[[b, a], m]
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(1, 4))
+def test_cov_path_with_repeated_columns_same_bytes(tmp_path_factory, data, p):
+    columns = data.draw(structured_columns(p * p))
+    n = len(columns)
+    sigmas = columns.reshape(n, p, p)
+    tmp = tmp_path_factory.mktemp("cov")
+    io.write_cov_path(tmp / "new.csv", CovariancePath(sigmas))
+    oracle_table(tmp / "old.csv", ["t", "i", "j", "value"],
+                 ((t + 1, i + 1, j + 1, fmt(sigmas[t, i, j]))
+                  for t in range(n) for i in range(p) for j in range(p)))
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(1, 5))
+def test_coeff_path_with_repeated_columns_same_bytes(tmp_path_factory, data, p):
+    j, k = np.tril_indices(p, -1)
+    columns = data.draw(structured_columns(len(j)))
+    n = len(columns)
+    t_path = np.zeros((n, p, p))
+    t_path[:, j, k] = columns
+    tmp = tmp_path_factory.mktemp("coeff")
+    io.write_coeff_path(tmp / "new.csv", t_path)
+    oracle_table(tmp / "old.csv", ["t", "j", "k", "phi"],
+                 ((t + 1, a + 1, b + 1, fmt(-t_path[t, a, b]))
+                  for t in range(n) for a, b in zip(j, k)))
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
+def test_long_writer_formats_each_distinct_column_once():
+    values = np.array([[1.5, 2.5, 1.5, -0.0, 0.0, 2.5, 0.0],
+                       [1.5, 3.5, 1.5, -0.0, 0.0, 4.5, -0.0],
+                       [1.5, 4.5, 1.5000000000000002, -0.0, 0.0, 3.5, 0.0]])
+    constant, source = io._column_sources(values)
+    assert constant.tolist() == [True, False, False, True, True, False, False]
+    assert source == [0, 1, 2, 3, 4, 5, 6]
+    values[2, 2] = 1.5
+    values[1:, 5] = values[1:, 1]
+    assert io._column_sources(values)[1] == [0, 1, 0, 3, 4, 1, 6]
 
 
 def test_cov_path_write_streams_in_chunks(tmp_path):

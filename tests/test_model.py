@@ -497,6 +497,16 @@ class TestContainers:
         corr = CovariancePath(sig).correlations()
         np.testing.assert_allclose(corr[0], [[1.0, 2.0 / 6.0], [2.0 / 6.0, 1.0]])
 
+    def test_correlations_are_bitwise_symmetric_with_unit_diagonal(self):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((200, 5, 5)) * rng.uniform(0.1, 10.0, (200, 5, 1))
+        sig = a @ a.transpose(0, 2, 1)
+        sig = sig + sig.transpose(0, 2, 1)
+        assert np.array_equal(sig.view(np.int64), sig.transpose(0, 2, 1).view(np.int64))
+        corr = CovariancePath(sig).correlations()
+        assert np.array_equal(corr.view(np.int64), corr.transpose(0, 2, 1).view(np.int64))
+        assert np.all(np.diagonal(corr, axis1=1, axis2=2) == 1.0)
+
     def test_fit_model_dispatch(self):
         panel = iid_panel(100, [1.0, 1.0], seed=1)
         assert fit_model(panel, "cgarch").model == "cgarch"
