@@ -2,13 +2,15 @@
 
 Every command writes its full effective configuration (defaults, seeds
 and all) to ``config.echo`` in the output directory, so a run can be
-reproduced from its artifacts alone; ``fit --tune-state-noise`` echoes
-the state-noise candidates it searched in place of the ``--kalman-q`` it
-ignores.  Options can also be supplied in a key=value config file via
-``--config``; explicit flags win over the file, which wins over built-in
-defaults, and a required option the file sets counts as given.  A
-command makes its output directory only once it has its results: a
-rejected run leaves none.
+reproduced from its artifacts alone.  A tuned run (``fit
+--tune-state-noise``, ``benchmark`` without ``--kalman-q``) echoes the
+state-noise candidates it searched in place of ``kalman_q``, and
+``simulate`` echoes only the options of the kind it generates.  Options
+can also be supplied in a key=value config file via ``--config``;
+explicit flags win over the file, which wins over built-in defaults, and
+a required option the file sets counts as given.  A command makes its
+output directory only once it has its results: a rejected run leaves
+none.
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 benchmark with every replication failed.
@@ -103,12 +105,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo(args, out: Path, omit=(), **derived):
-    """Write every option of ``args`` but those in ``omit``, plus the
-    ``derived`` settings the run used in their place."""
+def _echo(args, out: Path, omit=(), state_noise=()):
+    """Write every option of ``args`` but those in ``omit``.  A run that
+    searched several ``state_noise`` candidates names them in place of
+    the ``kalman_q`` it never read."""
     mapping = {k: v for k, v in vars(args).items()
                if k not in ("func", "command", *omit)}
-    io.write_config_echo(out / "config.echo", {**mapping, **derived})
+    if len(state_noise) > 1:
+        del mapping["kalman_q"]
+        mapping["state_noise"] = state_noise
+    io.write_config_echo(out / "config.echo", mapping)
 
 
 def _fit_config(args) -> ScgarchConfig:
@@ -128,6 +134,7 @@ def cmd_simulate(args) -> int:
         io.write_cov_path(out / "truth_cov.csv", data.truth)
         print(f"wrote panel.csv ({data.panel.n} x {data.panel.p}) and truth_cov.csv"
               f" (PD repairs: {data.repairs})")
+        _echo(args, out, omit=("q_true", "meas_var"))
     else:
         data = generate_sim1(Sim1Config(n=args.n, q_true=args.q_true,
                                         meas_var=args.meas_var, seed=args.seed))
@@ -135,7 +142,7 @@ def cmd_simulate(args) -> int:
         io.write_columns(out / "panel.csv", ["y", "x", "phi_true"],
                          np.column_stack([data.y, data.x, data.phi_true]))
         print(f"wrote panel.csv ({args.n} rows: y, x, phi_true)")
-    _echo(args, out)
+        _echo(args, out, omit=("deltas", "diag"))
     return EXIT_OK
 
 
@@ -168,11 +175,7 @@ def cmd_fit(args) -> int:
         fh.write(f"ordering={' '.join(str(k + 1) for k in result.ordering)}\n")
         fh.write(f"total_loglik={io.fmt(result.total_loglik)}\n")
         fh.write(f"bic={io.fmt(score)}\n")
-    if args.tune_state_noise:
-        # The fit searched these candidates and never read --kalman-q.
-        _echo(args, out, omit=("kalman_q",), state_noise=config.state_noise)
-    else:
-        _echo(args, out)
+    _echo(args, out, state_noise=config.state_noise)
     print(f"{result.model}: total_loglik={result.total_loglik:.6g} bic={score:.6g} "
           f"ordering={tuple(k + 1 for k in result.ordering)}")
     return EXIT_OK
@@ -226,7 +229,7 @@ def cmd_benchmark(args) -> int:
     out = _out_dir(args)
     io.write_benchmark_table(out / "benchmark.csv", result)
     io.write_benchmark_failures(out / "failures.csv", result)
-    _echo(args, out)
+    _echo(args, out, state_noise=fit_cfg.state_noise)
     print(f"{'model':>8s} {'scale':>12s} {'MAE':>12s} {'MSE':>12s} {'reps':>5s}")
     for row in result.rows:
         print(f"{row.model:>8s} {row.scale:>12s} {row.mae:12.6g} {row.mse:12.6g} "

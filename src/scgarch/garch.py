@@ -9,13 +9,15 @@ with the pre-sample squared innovation and variance both replaced by
 parameters over omega > 0, alpha >= 0, beta >= 0 and
 alpha + beta <= 1 - STATIONARITY_MARGIN.  A grid over beta, with
 (omega, alpha) fitted at each grid point, profiles the likelihood.
-Fisher scoring (Newton close to an optimum), with steps that stop short
-of every bound and runs that continue along a bound they reach, starts
-from every local minimum of the profile.  The candidate with the highest
+From every local minimum of the profile a run takes Newton steps where
+the Hessian on the free moves is positive definite and Fisher-scoring
+steps where it is not; steps stop short of every bound, and a run
+continues along a bound it reaches.  The candidate with the highest
 likelihood, the constant variance included, wins, and the fit names the
-face it lies on.  The stopping rule is fixed here (``_GTOL`` and
-``_XTOL``): a fit is converged when the first-order conditions hold to
-``_GTOL``.
+face it lies on.  The stopping rule is fixed here: a run stops once the
+first-order conditions hold to ``_GTOL``, which is also when a fit is
+converged, or once a step gains no more than rounding (``_ROUNDING``)
+and was cut or followed another such step.
 """
 
 from __future__ import annotations
@@ -139,10 +141,9 @@ def garch_loglik(params: GarchParams, eps, sigma2_init: float | None = None) -> 
     return float(-np.sum(np.log(s2) + eps * eps / s2))
 
 
-def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian=False):
-    """Negated log-likelihood f, its gradient, its Fisher information and,
-    with ``hessian``, its Hessian in the natural parameters
-    theta = (omega, alpha, beta).
+def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init):
+    """Negated log-likelihood f, its gradient, its Fisher information and
+    its Hessian in the natural parameters theta = (omega, alpha, beta).
 
     The sensitivity paths ds2/d(omega, alpha, beta) follow the variance
     recursion's AR(1) filter driven by 1, eps[t-1]**2 and s2[t-1], so one
@@ -151,8 +152,7 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian=False):
     the expected Hessian.  The Hessian adds the observed curvature: s2 is
     linear in omega and alpha, and its second derivatives in beta follow
     the same filter driven by the lagged sensitivity paths.  Returns
-    ``(inf, None, None, None)`` where the path is not finite and positive,
-    and ``None`` for the Hessian when it is not asked for.
+    ``(inf, None, None, None)`` where the path is not finite and positive.
     """
     omega, alpha, beta = theta
     ar = [1.0, -beta]
@@ -174,18 +174,16 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian=False):
         r = 1.0 - q
         grad = u @ r
         info = u @ u.T
-        hess = None
-        if hessian:
-            drivers[:, 0] = 0.0
-            drivers[:, 1:] = ds2[:, :-1]
-            drivers[2] *= 2.0
-            cross = (lfilter([1.0], ar, drivers, axis=1) * inv) @ r
-            hess = (u * (1.0 - 2.0 * r)) @ u.T
-            hess[2] += cross
-            hess[:, 2] += cross
-            hess[2, 2] -= cross[2]
+        drivers[:, 0] = 0.0
+        drivers[:, 1:] = ds2[:, :-1]
+        drivers[2] *= 2.0
+        cross = (lfilter([1.0], ar, drivers, axis=1) * inv) @ r
+        hess = (u * (1.0 - 2.0 * r)) @ u.T
+        hess[2] += cross
+        hess[:, 2] += cross
+        hess[2, 2] -= cross[2]
         # a non-finite entry anywhere makes the sum nan or inf
-        if not math.isfinite(grad.sum() + info.sum() + (0.0 if hess is None else hess.sum())):
+        if not math.isfinite(grad.sum() + info.sum() + hess.sum()):
             return np.inf, None, None, None
     return f, grad, info, hess
 
@@ -204,28 +202,21 @@ _GRID_STEPS = 4
 # one (0.5, 0.75, 0.875, ...), so a run heading for a face gets close in
 # a few steps.
 _FRACTION_TO_BOUNDARY = 0.5
-# Once a scoring step predicts less improvement of the negated
-# log-likelihood than this, a run takes Newton steps wherever the Hessian
-# is positive definite.  Scoring is robust far from an optimum; close to
-# it, Newton converges quadratically where the information and the
-# Hessian differ (a misspecified model, a flat ridge).
-_NEWTON_ZONE = 1.0
 _ARMIJO = 1e-4
 _MAX_HALVINGS = 60
 # f is a sum of n terms; a change below this share of |f| is rounding.
+# A step that gains no more than rounding ends a run when it was cut (by
+# a bound or by backtracking) or when the step before it gained no more
+# either: near an optimum full Newton steps gain only rounding, and a run
+# whose gradient rounding keeps above _GTOL would otherwise go on to
+# _MAX_ITER.  One full step that gains only rounding does not stop a run:
+# near beta = 1 on the alpha = 0 face the next steps still climb.
 _ROUNDING = 16 * np.finfo(float).eps
 # A run stops, and a fit is converged, once the gradient along the moves
 # the bounds allow, in (log omega, alpha, beta), is below this.  Where f
 # has curvature of order n there, a Newton step could still gain about
 # _GTOL**2 / n: far below the rounding of f.
 _GTOL = 1e-6
-# A full step that gains no more than rounding and moves every coordinate
-# of (log omega, alpha, beta) less than this ends a run.  Near an optimum
-# Newton steps are full, so without this stop a run whose gradient
-# rounding keeps above _GTOL would go on to _MAX_ITER.  A short step that
-# still gains does not stop a run: near beta = 1 on the alpha = 0 face
-# such steps still climb.
-_XTOL = 1e-9
 # Guards against an endless loop only; runs stop on the rules in _descend.
 _MAX_ITER = 500
 # A run this close to a bound is put on it: a variance path cannot tell
@@ -275,15 +266,14 @@ def _moves(held: tuple[bool, ...]) -> np.ndarray:
 
 def _direction(g, basis, info, hess) -> np.ndarray:
     """Descent direction in the span of ``basis``: Newton where ``hess``
-    is given and positive definite there, else Fisher scoring."""
+    is positive definite there, else Fisher scoring."""
     gz = basis.T @ g
-    if hess is not None:
-        h = basis.T @ hess @ basis
-        try:
-            np.linalg.cholesky(h)
-            return -basis @ np.linalg.solve(h, gz)
-        except np.linalg.LinAlgError:
-            pass
+    h = basis.T @ hess @ basis
+    try:
+        np.linalg.cholesky(h)
+        return -basis @ np.linalg.solve(h, gz)
+    except np.linalg.LinAlgError:
+        pass
     a = basis.T @ info @ basis
     try:
         return -basis @ np.linalg.solve(a, gz)
@@ -307,30 +297,31 @@ def _snap(theta) -> np.ndarray:
 def _descend(objective, theta):
     """Minimize ``objective`` from ``theta``.
 
-    Gradients and steps are measured in (log omega, alpha, beta).  Each
-    iteration takes the scoring (later Newton) direction; where theta is
-    on a bound the direction would cross, the direction is recomputed
-    along that bound.  A step goes at most a fraction of the way to the
-    nearest bound ahead and is halved until the Armijo condition holds.
-    A run that comes within ``_SNAP`` of a bound is put on it.  The run
-    stops when the scaled gradient along the allowed moves is below
-    ``_GTOL``; after a step that gains no more than rounding and was
-    either cut (by a bound or by backtracking) or moved less than
-    ``_XTOL``; when no step decreases f; or at once where f is not finite
-    at the start.  Returns ``(theta, f, grad, nit)``.
+    Gradients and steps are measured in (log omega, alpha, beta).  Every
+    iteration takes the Newton direction where the Hessian on the free
+    moves is positive definite and the Fisher-scoring direction where it
+    is not; where theta is on a bound the direction would cross, the
+    direction is recomputed along that bound.  A step goes at most a
+    fraction of the way to the nearest bound ahead and is halved until the
+    Armijo condition holds.  A run that comes within ``_SNAP`` of a bound
+    is put on it.  The run stops when the scaled gradient along the
+    allowed moves is below ``_GTOL``; after a step that gains no more than
+    rounding and was either cut (by a bound or by backtracking) or follows
+    another such step; when no step decreases f; or at once where f is not
+    finite at the start.  Returns ``(theta, f, grad, nit)``.
     """
     theta = np.asarray(theta, dtype=float)
     f, g, info, hess = objective(theta)
     if g is None:
         return theta, f, g, 0
-    near = short = False
+    stalled = stop = False
     nit = cuts = 0
     while nit < _MAX_ITER:
         scale = np.array([theta[0], 1.0, 1.0])
         held = (False,) * 4
         while True:
             basis = _moves(held) * scale[:, None]
-            if short or basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < _GTOL:
+            if stop or basis.shape[1] == 0 or np.max(np.abs(basis.T @ g)) < _GTOL:
                 return theta, f, g, nit
             d = _direction(g, basis, info, hess)
             reach, blocked = _reach(theta, d)
@@ -345,7 +336,6 @@ def _descend(objective, theta):
         slope = g @ d
         if slope >= 0:
             break
-        near = near or -slope < _NEWTON_ZONE
         cuts = cuts + 1 if _FRACTION_TO_BOUNDARY * reach < 1.0 else 0
         t = min(1.0, (1.0 - _FRACTION_TO_BOUNDARY ** max(cuts, 1)) * reach)
         full = t == 1.0
@@ -354,7 +344,7 @@ def _descend(objective, theta):
         # run whose gradient is still above _GTOL goes on.
         noise = _ROUNDING * abs(f)
         for _ in range(_MAX_HALVINGS):
-            f_new, g_new, info_new, hess_new = objective(theta + t * d, near)
+            f_new, g_new, info_new, hess_new = objective(theta + t * d)
             if f_new <= f + _ARMIJO * t * slope or (
                     f_new <= f + noise and abs(g_new @ d) < -slope):
                 break
@@ -363,17 +353,21 @@ def _descend(objective, theta):
         else:
             break
         nit += 1
-        short = f - f_new <= noise and (not full or np.max(np.abs(t * d / scale)) < _XTOL)
+        was_stalled, stalled = stalled, f - f_new <= noise
+        stop = stalled and (was_stalled or not full)
         theta = theta + t * d
         f, g, info, hess = f_new, g_new, info_new, hess_new
         snapped = _snap(theta)
         if snapped is not theta:
             theta = snapped
-            f, g, info, hess = objective(theta, near)
-            short = False
+            f, g, info, hess = objective(theta)
+            stop = False
     return theta, f, g, nit
 
 
+# where squares overflow or underflow, f is nan or inf on every row and no
+# row is a start
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
     """Rows (omega, alpha, beta) of the beta grid ``_GRID_BETAS`` whose
     negated log-likelihood, profiled over (omega, alpha), is below the
@@ -472,15 +466,17 @@ def garch_fit(eps) -> GarchFit:
         raise SeriesTooShort(f"need at least {MIN_FIT_LENGTH} observations, got {n}")
     if not np.all(np.isfinite(eps)):
         raise InvalidParameters("series contains non-finite values")
-    sigma2_init = float(np.var(eps))
+    # squares of finite values can overflow; no candidate then has a
+    # finite likelihood, which is reported below
+    with np.errstate(over="ignore"):
+        sigma2_init = float(np.var(eps))
+        e2 = eps * eps
     if sigma2_init <= 0 or np.all(eps == eps[0]):
         raise DegenerateSeries("series has zero variance")
-
-    e2 = eps * eps
     e2_lag = _lagged(e2, sigma2_init)
 
-    def objective(theta, hessian=False):
-        return _nll_and_derivatives(theta, e2, e2_lag, sigma2_init, hessian)
+    def objective(theta):
+        return _nll_and_derivatives(theta, e2, e2_lag, sigma2_init)
 
     constant = np.array([np.mean(e2), 0.0, 0.0])
     runs = [(constant, *objective(constant)[:2], 0)]

@@ -189,8 +189,10 @@ def write_cov_path(path, cov: CovariancePath):
 
 
 def read_cov_path(path) -> CovariancePath:
+    """Read a path written by ``write_cov_path``: every (t, i, j) entry of
+    an n x p x p path exactly once, values NaN and infinities included."""
     path = Path(path)
-    entries = {}
+    lines, keys, values = [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -201,24 +203,30 @@ def read_cov_path(path) -> CovariancePath:
                 continue
             try:
                 key = (int(row[0]), int(row[1]), int(row[2]))
-                value = float(row[3])
+                values.append(float(row[3]))
             except (ValueError, IndexError) as exc:
                 raise PanelFormatError(f"{path}, line {lineno}: {exc}")
-            if key in entries:
-                raise PanelFormatError(f"{path}, line {lineno}: duplicate entry {key}")
-            entries[key] = value
-    if not entries:
+            keys.append(key)
+            lines.append(lineno)
+    if not keys:
         raise PanelFormatError(f"{path}: no data rows")
-    n = max(t for t, _, _ in entries)
-    p = max(i for _, i, _ in entries)
-    sigmas = np.full((n, p, p), np.nan)
-    for (t, i, j), v in entries.items():
-        if not (1 <= t <= n and 1 <= i <= p and 1 <= j <= p):
-            raise PanelFormatError(f"{path}: index ({t},{i},{j}) out of range")
-        sigmas[t - 1, i - 1, j - 1] = v
-    if np.any(np.isnan(sigmas)):
+    idx = np.array(keys) - 1
+    n, p = int(idx[:, 0].max()) + 1, int(idx[:, 1].max()) + 1
+    bad = np.flatnonzero((idx < 0).any(axis=1) | (idx[:, 2] >= p))
+    if bad.size:
+        k = bad[0]
+        raise PanelFormatError(f"{path}, line {lines[k]}: index {keys[k]} out of range")
+    flat = np.ravel_multi_index(idx.T, (n, p, p))
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        k = repeats.min()
+        raise PanelFormatError(f"{path}, line {lines[k]}: duplicate entry {keys[k]}")
+    if flat.size != n * p * p:
         raise PanelFormatError(f"{path}: missing entries in the {n}x{p}x{p} path")
-    return CovariancePath(sigmas)
+    sigmas = np.empty(n * p * p)
+    sigmas[flat] = values
+    return CovariancePath(sigmas.reshape(n, p, p))
 
 
 def write_coeff_path(path, t_path: np.ndarray):

@@ -69,6 +69,15 @@ class TestSimulate:
         assert lines[0] == "y,x,phi_true"
         assert len(lines) == 101
 
+    @pytest.mark.parametrize("kind, read, unread", [
+        ("sim1", ("q_true", "meas_var"), ("deltas", "diag")),
+        ("sim2", ("deltas", "diag"), ("q_true", "meas_var")),
+    ])
+    def test_echo_names_only_the_kind_s_options(self, tmp_path, kind, read, unread):
+        assert run("simulate", kind, "--n", 64, "--out-dir", tmp_path) == 0
+        keys = [line.split("=")[0] for line in (tmp_path / "config.echo").read_text().splitlines()]
+        assert set(read) <= set(keys) and not set(unread) & set(keys)
+
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("simulate", "sim2", "--seed", -1, "--out-dir", tmp_path)
@@ -286,6 +295,25 @@ class TestBenchmark:
         assert failures[1:] == ["0,scgarch,Singular matrix", "1,scgarch,Singular matrix"]
         rows = (tmp_path / "benchmark.csv").read_text().strip().splitlines()[1:]
         assert [row.split(",")[-1] for row in rows] == ["0", "0", "2", "2"]
+
+    def test_echo_names_the_noise_candidates_the_fits_used(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record(config, jobs):
+            seen.append(config.fit.state_noise)
+            return BenchmarkResult([BenchmarkRow("scgarch", "covariance", 0.0, 0.0, 1)], [], 1)
+        monkeypatch.setattr(cli, "run_benchmark", record)
+        tuned, fixed = tmp_path / "tuned", tmp_path / "fixed"
+        assert run("benchmark", "--out-dir", tuned) == 0
+        echo = (tuned / "config.echo").read_text().splitlines()
+        assert not any(line.startswith("kalman_q=") for line in echo)
+        assert f"state_noise={' '.join(io.fmt(q) for q in seen[0])}" in echo
+
+        assert run("benchmark", "--kalman-q", 0.5, "--out-dir", fixed) == 0
+        echo = (fixed / "config.echo").read_text().splitlines()
+        assert "kalman_q=0.5" in echo
+        assert not any(line.startswith("state_noise=") for line in echo)
+        assert seen == [model.DEFAULT_TUNE_GRID, (0.5,)]
 
     @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
     def test_jobs_outside_cpu_range_is_exit_2(self, tmp_path, jobs):

@@ -82,6 +82,23 @@ class TestCovPathRoundTrip:
         back = io.read_cov_path(path)
         np.testing.assert_array_equal(back.sigmas, cov.sigmas)
 
+    def test_special_values(self, tmp_path):
+        values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.5, -2.0])
+        cov = CovariancePath(values.reshape(2, 2, 2))
+        path = tmp_path / "cov.csv"
+        io.write_cov_path(path, cov)
+        back = io.read_cov_path(path)
+        np.testing.assert_array_equal(back.sigmas.view(np.int64), cov.sigmas.view(np.int64))
+
+    @pytest.mark.parametrize("row", ["1,0,1,1.0", "1,1,3,1.0", "-1,1,1,1.0"])
+    def test_index_out_of_range_names_its_line(self, tmp_path, row):
+        path = tmp_path / "cov.csv"
+        io.write_cov_path(path, CovariancePath(np.broadcast_to(np.eye(2), (3, 2, 2))))
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(PanelFormatError, match=r"line 14: index \(.*\) out of range"):
+            io.read_cov_path(path)
+
     def test_missing_entry(self, tmp_path):
         path = tmp_path / "cov.csv"
         path.write_text("t,i,j,value\n1,1,1,1.0\n1,2,2,1.0\n")
