@@ -19,7 +19,6 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .exceptions import (
     ScgarchError,
     TooManyPermutations,
 )
-from .experiments import BenchmarkConfig, run_benchmark
+from .experiments import BenchmarkConfig, check_jobs, run_benchmark
 from .model import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_ORDERING_SAMPLES,
@@ -93,10 +92,10 @@ def positive_int(value) -> int:
 
 def job_count(value) -> int:
     jobs = int(value)
-    limit = os.cpu_count() or 1
-    if not 1 <= jobs <= limit:
-        raise argparse.ArgumentTypeError(f"jobs must be between 1 and {limit}")
-    return jobs
+    try:
+        return check_jobs(jobs)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _out_dir(args) -> Path:

@@ -46,10 +46,12 @@ class Sim1BiasConfig:
     kappa: float = 10.0
 
 
-def _check_jobs(jobs: int):
+def check_jobs(jobs: int) -> int:
+    """Return ``jobs``; raise ``ValueError`` unless 1 <= jobs <= the CPU count."""
     limit = os.cpu_count() or 1
     if not 1 <= jobs <= limit:
         raise ValueError(f"jobs must be between 1 and {limit}, got {jobs}")
+    return jobs
 
 
 def _sim1_single_bias(n: int, seed: int, cfg: Sim1BiasConfig) -> float:
@@ -71,7 +73,7 @@ def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
     (1 to the CPU count) share the replications.
     """
     cfg = cfg or Sim1BiasConfig()
-    _check_jobs(jobs)
+    check_jobs(jobs)
     tasks = [(n, cfg.base_seed + i * cfg.replications + r)
              for i, n in enumerate(cfg.sizes) for r in range(cfg.replications)]
     ns = [n for n, _ in tasks]
@@ -164,7 +166,7 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
     averages over its successful replications only.
     """
     cfg = cfg or BenchmarkConfig()
-    _check_jobs(jobs)
+    check_jobs(jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_benchmark_one, range(cfg.replications),

@@ -3,7 +3,9 @@
 Floats are serialized with 17 significant digits so a write/read
 round-trip reproduces values exactly.  Matrix paths use a long format
 ``t,i,j,value`` with 1-based indices; panels are wide (one header row of
-labels, one row per time step).
+labels, one row per time step).  Both readers parse a file's body with
+one ``np.loadtxt`` call, which gives a number the bits ``float()`` gives
+it; blank lines are skipped and an error names the line at fault.
 
 Everything that grows with the number of time steps (panels, covariance,
 correlation and coefficient paths, per-step loss reports) is written a
@@ -12,21 +14,17 @@ filled from that step's values, so no per-entry Python call is made and
 no whole file is held in memory.  ``"%.17g" % v`` and ``fmt(v)`` use the
 same float-to-string routine and ``csv.writer`` never quotes a number,
 so the bytes are those ``csv.writer`` writes, ``\r\n`` line ends included.
-
-The long-format writers format each distinct column once.  A column that
+The long-format writers format each distinct column once: a column that
 holds one value at every step (a correlation's unit diagonal, a static
-coefficient) is formatted into the template, and a column bitwise equal
-to an earlier one (the mirror entry of a symmetric matrix) reuses that
-column's text, so the bytes are still those of one ``%.17g`` per line.
-Small tables go through ``write_table``.
+coefficient) is part of the template, and every other line takes the
+text of the first column bitwise equal to its own (a symmetric matrix's
+mirror entry).  Small tables go through ``write_table``.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import Counter
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -86,10 +84,9 @@ def _write_long(path, header, pairs, values: np.ndarray):
     """Long format: a ``t,a,b,value`` line per step t and index pair (a, b).
 
     ``values`` is (n, len(pairs)), column m holding pair m's values.  A
-    constant column's text is part of the step template.  Of the varying
-    columns, one read by a single line is formatted there from its float
-    (``%.17g``); one that later columns repeat is formatted once per chunk
-    and its text fills each of its lines (``%s``).
+    constant column's text is part of the step template.  Each distinct
+    varying column is formatted once per chunk (``%.17g``), and its text
+    fills every line that reads it (``%s``).
     """
     values = np.ascontiguousarray(values, dtype=float)
     with open(path, "w", newline="") as fh:
@@ -97,45 +94,34 @@ def _write_long(path, header, pairs, values: np.ndarray):
         if not len(values):
             return
         constant, source = _column_sources(values)
-        uses = Counter(source[m] for m in range(len(pairs)) if not constant[m])
-        once = [m for m in uses if uses[m] == 1]
-        shared = [m for m in uses if uses[m] > 1]
+        distinct = sorted({source[m] for m in range(len(pairs)) if not constant[m]})
         # "\0" stands for the step's "t," prefix until a chunk fills it in.
         lines, slots = [], []
         for m, (a, b) in enumerate(pairs):
             if constant[m]:
                 lines.append(f"\0{a},{b},{fmt(values[0, m])}\r\n")
-            elif uses[source[m]] == 1:
-                lines.append(f"\0{a},{b},%.17g\r\n")
-                slots.append((0, once.index(m)))
             else:
                 lines.append(f"\0{a},{b},%s\r\n")
-                slots.append((1, shared.index(source[m])))
+                slots.append(distinct.index(source[m]))
         step = "".join(lines)
 
         def picker(rows):
-            """The template's arguments, in order, from a chunk of ``rows``
-            steps: its ``once`` floats, then its ``shared`` texts, row-major."""
-            idx = [r * len(once) + k if kind == 0
-                   else rows * len(once) + r * len(shared) + k
-                   for r in range(rows) for kind, k in slots]
+            """The template's arguments from a chunk's texts, row-major."""
+            idx = [r * len(distinct) + k for r in range(rows) for k in slots]
             if len(idx) > 1:
                 return itemgetter(*idx)
-            return lambda chunk: tuple(chunk[i] for i in idx)
+            return lambda texts: tuple(texts[i] for i in idx)
 
         pickers = {}
         for start in range(0, len(values), _CHUNK_STEPS):
-            block = values[start:start + _CHUNK_STEPS]
-            rows = len(block)
+            block = values[start:start + _CHUNK_STEPS, distinct].ravel().tolist()
+            rows = min(_CHUNK_STEPS, len(values) - start)
             if rows not in pickers:
                 pickers[rows] = picker(rows)
-            args = block[:, once].ravel().tolist()
-            if shared:
-                texts = block[:, shared].ravel().tolist()
-                args += ("%.17g," * len(texts) % tuple(texts)).split(",")[:-1]
+            texts = ("%.17g," * len(block) % tuple(block)).split(",")[:-1]
             template = "".join([step.replace("\0", f"{t},")
                                 for t in range(start + 1, start + rows + 1)])
-            fh.write(template % pickers[rows](args))
+            fh.write(template % pickers[rows](texts))
 
 
 def write_columns(path, header, values):
@@ -151,32 +137,54 @@ def write_panel(path, panel: TimeSeriesPanel):
     write_columns(path, panel.labels, panel.values)
 
 
-def read_panel(path) -> TimeSeriesPanel:
-    path = Path(path)
+def _read_csv(path, dtype, header=None):
+    """The header cells, the body parsed as ``dtype`` by one ``np.loadtxt``
+    call, and each body row's line number; blank lines are skipped.
+
+    A ``header`` given must match.  If the body does not parse, each line
+    is checked on its own, its cell count and then its values, and the
+    error names the first that fails: numpy's "at row N" counts rows, not
+    lines.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            labels = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path}: file is empty")
-        labels = [l.strip() for l in labels]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(labels):
-                raise PanelFormatError(
-                    f"{path}, line {lineno}: expected {len(labels)} cells, "
-                    f"got {len(row)}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise PanelFormatError(f"{path}, line {lineno}: {exc}")
-    if not rows:
+        cells = next(csv.reader(fh), None)
+        numbered = [(k, line) for k, line in enumerate(fh, start=2) if line.strip("\r\n")]
+    if cells is None:
+        raise PanelFormatError(f"{path}: file is empty")
+    cells = [c.strip() for c in cells]
+    if header is not None and cells != header:
+        raise PanelFormatError(f"{path}: expected header {','.join(header)}")
+    if not numbered:
         raise PanelFormatError(f"{path}: no data rows")
+
+    def parse(lines):
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                          dtype=dtype, ndmin=1)
+
+    linenos, lines = zip(*numbered)
     try:
-        return TimeSeriesPanel(np.asarray(rows), labels)
+        return cells, parse(lines), linenos
+    except ValueError as exc:
+        for lineno, line in numbered:
+            width = len(next(csv.reader([line])))
+            if width != len(cells):
+                raise PanelFormatError(f"{path}, line {lineno}: expected "
+                                       f"{len(cells)} cells, got {width}") from None
+            try:
+                parse([line])
+            except ValueError as bad:
+                raise PanelFormatError(f"{path}, line {lineno}: {bad}") from None
+        raise PanelFormatError(f"{path}: {exc}") from None
+
+
+def read_panel(path) -> TimeSeriesPanel:
+    labels, body, linenos = _read_csv(path, float)
+    values = body.reshape(len(linenos), -1)
+    if values.shape[1] != len(labels):
+        raise PanelFormatError(f"{path}, line {linenos[0]}: expected "
+                               f"{len(labels)} cells, got {values.shape[1]}")
+    try:
+        return TimeSeriesPanel(values, labels)
     except Exception as exc:
         raise PanelFormatError(f"{path}: {exc}")
 
@@ -188,44 +196,33 @@ def write_cov_path(path, cov: CovariancePath):
     _write_long(path, ["t", "i", "j", "value"], pairs, cov.sigmas.reshape(n, p * p))
 
 
+# A matrix path line.  As ``int()`` does, an index field rejects "1.0".
+_PATH_LINE = np.dtype([("t", "i8"), ("i", "i8"), ("j", "i8"), ("value", "f8")])
+
+
 def read_cov_path(path) -> CovariancePath:
     """Read a path written by ``write_cov_path``: every (t, i, j) entry of
     an n x p x p path exactly once, values NaN and infinities included."""
-    path = Path(path)
-    lines, keys, values = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "i", "j", "value"]:
-            raise PanelFormatError(f"{path}: expected header t,i,j,value")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                key = (int(row[0]), int(row[1]), int(row[2]))
-                values.append(float(row[3]))
-            except (ValueError, IndexError) as exc:
-                raise PanelFormatError(f"{path}, line {lineno}: {exc}")
-            keys.append(key)
-            lines.append(lineno)
-    if not keys:
-        raise PanelFormatError(f"{path}: no data rows")
-    idx = np.array(keys) - 1
+    _, body, linenos = _read_csv(path, _PATH_LINE, header=list(_PATH_LINE.names))
+    keys = np.column_stack([body["t"], body["i"], body["j"]])
+    idx = keys - 1
     n, p = int(idx[:, 0].max()) + 1, int(idx[:, 1].max()) + 1
     bad = np.flatnonzero((idx < 0).any(axis=1) | (idx[:, 2] >= p))
     if bad.size:
         k = bad[0]
-        raise PanelFormatError(f"{path}, line {lines[k]}: index {keys[k]} out of range")
+        raise PanelFormatError(
+            f"{path}, line {linenos[k]}: index {tuple(keys[k].tolist())} out of range")
     flat = np.ravel_multi_index(idx.T, (n, p, p))
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         k = repeats.min()
-        raise PanelFormatError(f"{path}, line {lines[k]}: duplicate entry {keys[k]}")
+        raise PanelFormatError(
+            f"{path}, line {linenos[k]}: duplicate entry {tuple(keys[k].tolist())}")
     if flat.size != n * p * p:
         raise PanelFormatError(f"{path}: missing entries in the {n}x{p}x{p} path")
     sigmas = np.empty(n * p * p)
-    sigmas[flat] = values
+    sigmas[flat] = body["value"]
     return CovariancePath(sigmas.reshape(n, p, p))
 
 

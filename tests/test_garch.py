@@ -230,8 +230,8 @@ class TestFit:
         assert not garch_fit(eps).converged
 
     def test_tight_tolerance_still_stops_near_the_optimum(self, monkeypatch):
-        # Near the optimum Newton steps are full and gain only rounding; a
-        # rule without the step-size stop ran to 505 iterations here.
+        # Near the optimum Newton steps are full and gain only rounding; the
+        # stall rule ends the run on the second such step (10 iterations).
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 1000, seed=3)
         monkeypatch.setattr(garch, "_GTOL", 1e-12)
         assert garch_fit(eps).iterations <= 30

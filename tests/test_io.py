@@ -120,6 +120,77 @@ class TestCovPathRoundTrip:
             io.read_cov_path(path)
 
 
+PANEL_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+PATH_VALUES = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+
+
+def insert_blank_lines(path, data):
+    """Insert blank lines, ``\\n`` or ``\\r\\n``, anywhere after the header."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    for k in sorted(data.draw(st.sets(st.integers(1, len(lines)), max_size=4)), reverse=True):
+        lines.insert(k, data.draw(st.sampled_from([b"\n", b"\r\n"])))
+    path.write_bytes(b"".join(lines))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.integers(1, 3))
+def test_panel_round_trip_with_blank_lines(tmp_path_factory, data, p):
+    n = data.draw(st.integers(p + 1, 6))
+    values = np.array(data.draw(st.lists(PANEL_VALUES, min_size=n * p,
+                                         max_size=n * p))).reshape(n, p)
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
+    io.write_panel(path, TimeSeriesPanel(values))
+    insert_blank_lines(path, data)
+    back = io.read_panel(path)
+    np.testing.assert_array_equal(back.values.view(np.int64), values.view(np.int64))
+    assert back.labels == [f"y{j + 1}" for j in range(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.integers(1, 3))
+def test_cov_path_round_trip_with_blank_lines(tmp_path_factory, data, p):
+    n = data.draw(st.integers(1, 4))
+    sigmas = np.array(data.draw(st.lists(PATH_VALUES, min_size=n * p * p,
+                                         max_size=n * p * p))).reshape(n, p, p)
+    path = tmp_path_factory.mktemp("cov") / "cov.csv"
+    io.write_cov_path(path, CovariancePath(sigmas))
+    insert_blank_lines(path, data)
+    back = io.read_cov_path(path)
+    # NaN is written as "nan", whatever its sign and payload.
+    expected = np.where(np.isnan(sigmas), np.nan, sigmas)
+    np.testing.assert_array_equal(back.sigmas.view(np.int64), expected.view(np.int64))
+
+
+def test_bad_cell_after_blank_lines_names_its_line_in_the_file(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("a,b\n1.0,2.0\n\n\r\n3.0,4.0\n5.0,oops\n6.0,7.0\n")
+    with pytest.raises(PanelFormatError, match="line 6"):
+        io.read_panel(path)
+    path.write_text("a,b\n1.0,2.0\n\n3.0\n")
+    with pytest.raises(PanelFormatError, match="line 4: expected 2 cells, got 1"):
+        io.read_panel(path)
+
+
+@pytest.mark.parametrize("index", ["1.0", "1e0"])
+def test_cov_path_index_must_be_an_integer(tmp_path, index):
+    path = tmp_path / "cov.csv"
+    path.write_text(f"t,i,j,value\n1,1,1,1.0\n\n{index},1,2,0.5\n1,2,1,0.5\n1,2,2,1.0\n")
+    with pytest.raises(PanelFormatError, match=f"line 4: .*'{index}'"):
+        io.read_cov_path(path)
+
+
+def test_quoted_numeric_cells_are_read(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text('"a","b"\n"1.5",2.5\n3.5,"-4.5e-3"\n" 5.5 ",6.5\n')
+    back = io.read_panel(path)
+    assert back.labels == ["a", "b"]
+    np.testing.assert_array_equal(back.values, [[1.5, 2.5], [3.5, -4.5e-3], [5.5, 6.5]])
+    path = tmp_path / "cov.csv"
+    path.write_text('t,i,j,value\n"1","1","1","0.25"\n')
+    np.testing.assert_array_equal(io.read_cov_path(path).sigmas, [[[0.25]]])
+
+
 def test_config_echo_is_sorted_key_value(tmp_path):
     path = tmp_path / "config.echo"
     io.write_config_echo(path, {"b": 2, "a": 0.5, "c": [1, 2], "d": "x"})

