@@ -8,15 +8,15 @@ Example:
 
 import argparse
 
-from scgarch.cli import job_count, positive_int
+from scgarch.cli import job_count, positive_int, uint64
 from scgarch.experiments import SIM1_BASE_SEED, Sim1BiasConfig, run_sim1_bias
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=int, nargs="+", default=[100, 500, 1000])
+    ap.add_argument("--sizes", type=positive_int, nargs="+", default=[100, 500, 1000])
     ap.add_argument("--replications", type=positive_int, default=200)
-    ap.add_argument("--base-seed", type=int, default=SIM1_BASE_SEED)
+    ap.add_argument("--base-seed", type=uint64, default=SIM1_BASE_SEED)
     ap.add_argument("--q-true", type=float, default=0.01)
     ap.add_argument("--meas-var", type=float, default=1.0)
     ap.add_argument("--jobs", type=job_count, default=1,

@@ -26,9 +26,7 @@ from .model import (
     ScgarchFitResult,
     TimeSeriesPanel,
     bic,
-    fit_cgarch,
     fit_model,
-    fit_scgarch,
     order_by_bic,
 )
 from .simulate import (
@@ -56,9 +54,7 @@ __all__ = [
     "TimeSeriesPanel",
     "bic",
     "filter_regression",
-    "fit_cgarch",
     "fit_model",
-    "fit_scgarch",
     "garch_filter",
     "garch_fit",
     "garch_loglik",

@@ -117,9 +117,12 @@ def select_block_size(panel: TimeSeriesPanel, candidates,
     the first candidate whose MAE and MSE both move by less than
     ``threshold_frac`` times the first candidate's loss is selected.  If
     none stabilizes, the largest candidate is returned with
-    ``stable=False``.  The full table is returned so the choice can be
-    audited.
+    ``stable=False``; a zero threshold never stabilizes.  A negative or
+    non-finite threshold raises ValueError.  The full table is returned
+    so the choice can be audited.
     """
+    if not (np.isfinite(threshold_frac) and threshold_frac >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold_frac}")
     qs = [validate_block_size(q, panel.n) for q in candidates]
     if not qs:
         raise ValueError("need at least one candidate")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .simulate import Sim1Config, Sim2Config, generate_sim1, generate_sim2
 # around zero; this seed gives a run whose magnitudes shrink with the
 # sample size at both the 200- and the 1000-replication scale.
 SIM1_BASE_SEED = 615
+SIM1_LAST_K = 10  # final points of each panel that the bias averages over
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,11 @@ class Sim1BiasConfig:
 
     For each sample size, ``replications`` independent panels are drawn
     and filtered under the correctly specified model (true random-walk
-    noise and true measurement variance); the statistic is the mean of
-    the filtered-minus-true coefficient over the last ``last_k`` points,
-    averaged over replications.
+    noise and true measurement variance, the default prior of
+    ``KalmanConfig.default``); the statistic is the mean of the
+    filtered-minus-true coefficient over the last ``SIM1_LAST_K`` points,
+    averaged over replications.  No replication, no size, a size below 1
+    or a negative base seed raise ValueError.
     """
 
     sizes: tuple[int, ...] = (100, 500, 1000)
@@ -42,8 +46,14 @@ class Sim1BiasConfig:
     base_seed: int = SIM1_BASE_SEED
     q_true: float = 0.01
     meas_var: float = 1.0
-    last_k: int = 10
-    kappa: float = 10.0
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError("need at least one replication")
+        if not self.sizes or min(self.sizes) < 1:
+            raise ValueError(f"need at least one size, each >= 1, got {self.sizes}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 def check_jobs(jobs: int) -> int:
@@ -54,14 +64,24 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
-def _sim1_single_bias(n: int, seed: int, cfg: Sim1BiasConfig) -> float:
+def _replicate(task, items, jobs: int, chunksize: int = 1) -> list:
+    """``[task(item) for item in items]`` over ``jobs`` worker processes
+    (1 to the CPU count, 1 runs here), ``chunksize`` items per task."""
+    check_jobs(jobs)
+    if jobs == 1:
+        return [task(item) for item in items]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, items, chunksize=chunksize))
+
+
+def _sim1_single_bias(cfg: Sim1BiasConfig, n_seed: tuple[int, int]) -> float:
+    n, seed = n_seed
     data = generate_sim1(Sim1Config(n=n, q_true=cfg.q_true,
                                     meas_var=cfg.meas_var, seed=seed))
-    kcfg = KalmanConfig.default(1, meas_var=cfg.meas_var, kappa=cfg.kappa,
-                               state_noise=cfg.q_true)
+    kcfg = KalmanConfig.default(1, meas_var=cfg.meas_var, state_noise=cfg.q_true)
     run = filter_regression(data.y, data.x.reshape(-1, 1), kcfg)
-    return float(np.mean(run.phi_path[-cfg.last_k:, 0]
-                         - data.phi_true[-cfg.last_k:]))
+    return float(np.mean(run.phi_path[-SIM1_LAST_K:, 0]
+                         - data.phi_true[-SIM1_LAST_K:]))
 
 
 def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
@@ -73,22 +93,11 @@ def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
     (1 to the CPU count) share the replications.
     """
     cfg = cfg or Sim1BiasConfig()
-    check_jobs(jobs)
     tasks = [(n, cfg.base_seed + i * cfg.replications + r)
              for i, n in enumerate(cfg.sizes) for r in range(cfg.replications)]
-    ns = [n for n, _ in tasks]
-    seeds = [s for _, s in tasks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            biases = list(pool.map(_sim1_single_bias, ns, seeds,
-                                   [cfg] * len(tasks), chunksize=16))
-    else:
-        biases = [_sim1_single_bias(n, s, cfg) for n, s in tasks]
-    out = {}
-    for i, n in enumerate(cfg.sizes):
-        chunk = biases[i * cfg.replications:(i + 1) * cfg.replications]
-        out[n] = float(np.mean(chunk))
-    return out
+    biases = _replicate(partial(_sim1_single_bias, cfg), tasks, jobs, chunksize=16)
+    return {n: float(np.mean(biases[i * cfg.replications:(i + 1) * cfg.replications]))
+            for i, n in enumerate(cfg.sizes)}
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,7 @@ class BenchmarkResult:
 _BENCH_MODELS = ("scgarch", "cgarch")
 
 
-def _benchmark_one(rep: int, cfg: BenchmarkConfig):
+def _benchmark_one(cfg: BenchmarkConfig, rep: int):
     """Losses for one replication: {(model, scale): (mae, mse)} plus failures.
 
     A typed fit error, or a numpy linear-algebra or floating-point error
@@ -166,14 +175,7 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
     averages over its successful replications only.
     """
     cfg = cfg or BenchmarkConfig()
-    check_jobs(jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_benchmark_one, range(cfg.replications),
-                                     [cfg] * cfg.replications))
-    else:
-        outcomes = [_benchmark_one(rep, cfg) for rep in range(cfg.replications)]
-
+    outcomes = _replicate(partial(_benchmark_one, cfg), range(cfg.replications), jobs)
     failures = [f for _, fails in outcomes for f in fails]
     rows = []
     for name in _BENCH_MODELS:

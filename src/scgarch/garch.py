@@ -35,6 +35,7 @@ from .exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 STATIONARITY_MARGIN = 1e-6
 
 MIN_FIT_LENGTH = 20
+_BURN = 200  # warm-up steps that simulate_garch draws and discards
 
 
 def _as_coef_tuple(value, name: str) -> tuple[float]:
@@ -69,12 +70,8 @@ class GarchParams:
         return self.alpha[0] + self.beta[0]
 
     @property
-    def is_stationary(self) -> bool:
-        return self.persistence < 1.0
-
-    @property
     def unconditional_variance(self) -> float:
-        if not self.is_stationary:
+        if not self.persistence < 1.0:
             raise InvalidParameters("unconditional variance requires persistence < 1")
         return self.omega / (1.0 - self.persistence)
 
@@ -101,17 +98,6 @@ class GarchFit:
     boundary: str = "none"
 
 
-def _validate_filter_inputs(eps, sigma2_init):
-    eps = np.asarray(eps, dtype=float).reshape(-1)
-    if eps.shape[0] < 1:
-        raise InvalidParameters("need at least one observation")
-    if sigma2_init is None:
-        sigma2_init = float(np.var(eps))
-    if not (np.isfinite(sigma2_init) and sigma2_init > 0):
-        raise InvalidParameters(f"sigma2_init must be finite and > 0, got {sigma2_init}")
-    return eps, float(sigma2_init)
-
-
 def _lagged(x: np.ndarray, first: float) -> np.ndarray:
     lag = np.empty_like(x)
     lag[0] = first
@@ -126,7 +112,14 @@ def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> 
     ``sigma2_init`` (default: the sample variance of ``eps``).  The output
     is strictly positive for any valid parameters.
     """
-    eps, sigma2_init = _validate_filter_inputs(eps, sigma2_init)
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    if eps.shape[0] < 1:
+        raise InvalidParameters("need at least one observation")
+    if sigma2_init is None:
+        sigma2_init = np.var(eps)
+    if not (np.isfinite(sigma2_init) and sigma2_init > 0):
+        raise InvalidParameters(f"sigma2_init must be finite and > 0, got {sigma2_init}")
+    sigma2_init = float(sigma2_init)
     beta = params.beta[0]
     driver = params.omega + params.alpha[0] * _lagged(eps * eps, sigma2_init)
     s2, _ = lfilter([1.0], [1.0, -beta], driver, zi=[beta * sigma2_init])
@@ -136,7 +129,7 @@ def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> 
 def garch_loglik(params: GarchParams, eps, sigma2_init: float | None = None) -> float:
     """Gaussian log-likelihood up to an additive constant, sign-flipped so
     that larger is better: ``-sum(log s2[t] + eps[t]**2 / s2[t])``."""
-    eps, sigma2_init = _validate_filter_inputs(eps, sigma2_init)
+    eps = np.asarray(eps, dtype=float).reshape(-1)
     s2 = garch_filter(params, eps, sigma2_init)
     return float(-np.sum(np.log(s2) + eps * eps / s2))
 
@@ -499,24 +492,19 @@ def garch_fit(eps) -> GarchFit:
     )
 
 
-def simulate_garch(params: GarchParams, n: int, seed=None,
-                   sigma2_init: float | None = None, burn: int = 200
+def simulate_garch(params: GarchParams, n: int, seed=None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Draw an innovation series and its variance path from the recursion.
 
-    Gaussian shocks; the recursion starts at the unconditional variance
-    unless ``sigma2_init`` is given.  Returns ``(eps, sigma2)`` after
-    discarding ``burn`` warm-up steps.
+    Gaussian shocks; the pre-sample squared innovation and variance are
+    both the unconditional variance, and the first ``_BURN`` steps are
+    discarded.  Returns ``(eps, sigma2)``, each of length ``n``.
     """
-    if sigma2_init is None:
-        sigma2_init = params.unconditional_variance
-    if not sigma2_init > 0:
-        raise InvalidParameters("sigma2_init must be > 0")
     rng = np.random.default_rng(seed)
-    total = n + burn
+    total = n + _BURN
     z = rng.standard_normal(total)
     omega, alpha, beta = params.omega, params.alpha[0], params.beta[0]
-    e2_prev = s2_prev = sigma2_init
+    e2_prev = s2_prev = params.unconditional_variance
     eps = np.empty(total)
     s2 = np.empty(total)
     for t in range(total):
@@ -524,4 +512,4 @@ def simulate_garch(params: GarchParams, n: int, seed=None,
         s2[t] = s2_prev
         eps[t] = np.sqrt(s2_prev) * z[t]
         e2_prev = eps[t] * eps[t]
-    return eps[burn:], s2[burn:]
+    return eps[_BURN:], s2[_BURN:]

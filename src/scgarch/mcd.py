@@ -31,11 +31,11 @@ def as_sym_matrix(sigma) -> np.ndarray:
     return a
 
 
-def is_positive_definite(sigma: np.ndarray, rtol: float = PD_RTOL) -> bool:
-    """Scale-relative PD test: smallest eigenvalue > rtol * max diagonal."""
+def is_positive_definite(sigma: np.ndarray) -> bool:
+    """Scale-relative PD test: smallest eigenvalue > PD_RTOL * max diagonal."""
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     scale = float(np.max(np.diag(sigma))) if sigma.shape[0] else 0.0
-    return lam_min > rtol * max(scale, 0.0)
+    return lam_min > PD_RTOL * max(scale, 0.0)
 
 
 def mcd_decompose(sigma) -> tuple[np.ndarray, np.ndarray]:

@@ -1,24 +1,24 @@
 """End-to-end estimators for time-varying covariance matrices.
 
-``fit_scgarch`` runs the two-step pipeline: (1) filter each variable's
-regression on its predecessors to get time-varying coefficient rows and
-mutually uncorrelated innovations; (2) fit a GARCH(1,1) model to each
-innovation series.  The covariance path is assembled per time step as
-``inv(T_t) @ diag(D_t) @ inv(T_t).T``, positive definite by construction.
-
-``fit_cgarch`` is the constant-coefficient baseline (static T from the
-full-sample regressions, GARCH step unchanged).  Either fit takes the
-variables in panel order; ``fit_model(panel, model, config, ordering)``
-takes them in any order, and ``order_by_bic`` picks the ordering of
-either model by BIC and returns its fit.
+``fit_model(panel, "scgarch", config)`` runs the two-step pipeline:
+(1) filter each variable's regression on its predecessors to get
+time-varying coefficient rows and mutually uncorrelated innovations;
+(2) fit a GARCH(1,1) model to each innovation series.  The covariance
+path is assembled per time step as ``inv(T_t) @ diag(D_t) @ inv(T_t).T``,
+positive definite by construction.  ``fit_model(panel, "cgarch")`` is the
+constant-coefficient baseline (static T from the full-sample
+regressions, GARCH step unchanged).  Either model takes the variables in
+panel order unless ``fit_model`` is given an ``ordering``, and
+``order_by_bic`` picks the ordering of either model by BIC and returns
+its fit.
 
 A column's innovations and GARCH fit depend only on which variables
 precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
 the scgarch regressions of one set size in one batched Kalman pass, and
 ``_assemble`` builds the fit of an ordering from its p pairs.
-``fit_model`` (behind ``fit_scgarch`` and ``fit_cgarch``) fits the pairs
-of one ordering; the search fits the pairs of all its candidates and
-assembles the one it picks, so a searched fit runs the pipeline once.
+``fit_model`` fits the pairs of one ordering; the search fits the pairs
+of all its candidates and assembles the one it picks, so a searched fit
+runs the pipeline once.
 """
 
 from __future__ import annotations
@@ -98,14 +98,6 @@ class CholeskyPath:
         if np.any(d <= 0):
             raise NonPositiveDiagonal("d_path must be strictly positive")
         self.t_path, self.d_path = t, d
-
-    @property
-    def n(self) -> int:
-        return self.t_path.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.t_path.shape[1]
 
 
 @dataclass
@@ -384,17 +376,6 @@ def fit_model(panel: TimeSeriesPanel, model: str, config: ScgarchConfig | None =
             if ordering is not None else tuple(range(panel.p)))
     fitted = _fit_columns(panel.values, model, config, _ordering_pairs(perm))
     return _assemble(panel, model, perm, fitted)
-
-
-def fit_scgarch(panel: TimeSeriesPanel, config: ScgarchConfig | None = None
-                ) -> ScgarchFitResult:
-    """Two-step fit: Kalman-filtered coefficient paths, then GARCH variances."""
-    return fit_model(panel, "scgarch", config)
-
-
-def fit_cgarch(panel: TimeSeriesPanel) -> ScgarchFitResult:
-    """Constant-coefficient baseline: static T from full-sample regressions."""
-    return fit_model(panel, "cgarch")
 
 
 def bic(total_loglik: float, n: int, p: int) -> float:

@@ -27,7 +27,7 @@ from scgarch.model import (
     CovariancePath,
     ScgarchConfig,
     TimeSeriesPanel,
-    fit_scgarch,
+    fit_model,
 )
 from scgarch.experiments import Sim1BiasConfig, run_sim1_bias
 from scgarch.simulate import Sim2Config, generate_sim2
@@ -184,7 +184,7 @@ def test_criterion_6_sim2_tracking():
     cors = []
     for rep in range(20):
         data = generate_sim2(Sim2Config(seed=rep))
-        fit = fit_scgarch(data.panel, config)
+        fit = fit_model(data.panel, "scgarch", config)
         np.linalg.cholesky(fit.cov_path.sigmas)  # PD at every step
         est = fit.cov_path.correlations()
         tru = data.truth.correlations()
@@ -200,7 +200,7 @@ def test_criterion_6_sim2_tracking():
 
 def test_criterion_7_likelihood_decomposition_identity():
     data = generate_sim2(Sim2Config(n=256, seed=11))
-    fit = fit_scgarch(data.panel)
+    fit = fit_model(data.panel, "scgarch")
     start = time.perf_counter()
     y = data.panel.values
     sig = fit.cov_path.sigmas

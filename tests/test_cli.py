@@ -41,6 +41,7 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     ["evaluate", "cov200.csv", "--truth", "cov100.csv"],
     ["fit", "panel.csv", "--ordering", "bic-exhaustive", "--bic-limit", 2],
     ["benchmark", "--n", 10],
+    ["select-block", "panel.csv", "--candidates", 5, 9, "--threshold", "nan"],
 ])
 def test_rejected_run_creates_no_directory(tmp_path, argv):
     write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
@@ -446,7 +447,8 @@ class TestExperimentJobs:
 
     @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-1"],
                                       ["--jobs", str((os.cpu_count() or 1) + 1)],
-                                      ["--replications", "0"]])
+                                      ["--replications", "0"], ["--sizes", "0"],
+                                      ["--base-seed", "-1"]])
     def test_script_rejects_out_of_range(self, script, no_pool, argv):
         with pytest.raises(SystemExit) as exc:
             script.main(argv)
@@ -458,3 +460,10 @@ class TestExperimentJobs:
             run_sim1_bias(Sim1BiasConfig(sizes=(20,), replications=2), jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             run_benchmark(BenchmarkConfig(replications=1, n=128), jobs=jobs)
+
+
+@pytest.mark.parametrize("settings", [dict(replications=0), dict(sizes=()),
+                                      dict(sizes=(20, 0)), dict(base_seed=-1)])
+def test_sim1_bias_config_rejects_out_of_range(settings):
+    with pytest.raises(ValueError):
+        Sim1BiasConfig(**settings)

@@ -135,6 +135,12 @@ class TestSelectBlockSize:
         sel = select_block_size(panel, [5, 9, 15], threshold_frac=0.0)
         assert sel.q_star == 15 and not sel.stable
 
+    @pytest.mark.parametrize("threshold", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_threshold(self, threshold):
+        panel = TimeSeriesPanel(np.random.default_rng(2).standard_normal((100, 2)))
+        with pytest.raises(ValueError, match="threshold"):
+            select_block_size(panel, [5, 9, 15], threshold_frac=threshold)
+
     def test_iid_differences_shrink_in_the_tail(self):
         candidates = [5, 9, 15, 25, 41, 61, 85]
         mae_diffs, mse_diffs = [], []

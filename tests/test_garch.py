@@ -14,10 +14,10 @@ from scgarch.garch import (
     garch_loglik,
     simulate_garch,
 )
-from scgarch.model import DEFAULT_TUNE_GRID, ScgarchConfig, TimeSeriesPanel, fit_scgarch
+from scgarch.model import DEFAULT_TUNE_GRID, ScgarchConfig, TimeSeriesPanel, fit_model
 from scgarch.simulate import Sim2Config, generate_sim2
 
-# garch_fit(...).loglik on the innovations of fit_scgarch with the default
+# garch_fit(...).loglik on the scgarch innovations of fit_model with the default
 # tuning grid, generate_sim2 seeds 0-5, three columns each, as computed by
 # the logistic-space BFGS fitter this module replaced.  The current fitter
 # must never do worse on them.
@@ -161,7 +161,8 @@ def sim2_fits():
     config = ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
     fits = []
     for seed in range(6):
-        fits += fit_scgarch(generate_sim2(Sim2Config(seed=seed)).panel, config).garch_fits
+        panel = generate_sim2(Sim2Config(seed=seed)).panel
+        fits += fit_model(panel, "scgarch", config).garch_fits
     return fits
 
 
@@ -194,7 +195,8 @@ class TestFit:
     ])
     def test_alpha_zero_optimum_beyond_an_interior_one(self, seed, column, target):
         config = ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
-        fit = fit_scgarch(generate_sim2(Sim2Config(seed=seed)).panel, config).garch_fits[column]
+        panel = generate_sim2(Sim2Config(seed=seed)).panel
+        fit = fit_model(panel, "scgarch", config).garch_fits[column]
         assert fit.boundary == "alpha=0" and fit.converged
         assert fit.loglik >= target
 
@@ -241,8 +243,9 @@ class TestFit:
     # -2046.309238754283: the third run's first step is full, moves less
     # than 1e-9 and gains only rounding, and the steps after it still climb.
     @pytest.mark.parametrize("eps, target", [
-        (lambda: fit_scgarch(TimeSeriesPanel(np.random.default_rng(6).standard_normal(
-            (2000, 3)) * np.sqrt([1.0, 2.0, 0.5]))).innovations[:, 1], -3307.3207),
+        (lambda: fit_model(TimeSeriesPanel(np.random.default_rng(6).standard_normal(
+            (2000, 3)) * np.sqrt([1.0, 2.0, 0.5])), "scgarch").innovations[:, 1],
+         -3307.3207),
         (lambda: generate_sim2(Sim2Config(seed=5043)).panel.values[:, 0], -1745.099778),
         (lambda: (np.random.default_rng(11).standard_normal((2000, 3))
                   * np.sqrt([1.0, 2.0, 0.5]))[:, 0], -2046.30923871065),

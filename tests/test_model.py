@@ -20,9 +20,7 @@ from scgarch.model import (
     ScgarchConfig,
     TimeSeriesPanel,
     bic,
-    fit_cgarch,
     fit_model,
-    fit_scgarch,
     order_by_bic,
 )
 from scgarch.model import _best_ordering
@@ -127,13 +125,13 @@ class TestExtractInnovations:
 
     def test_p1_passthrough(self):
         panel = iid_panel(100, [1.0], seed=0)
-        fit = fit_scgarch(panel)
+        fit = fit_model(panel, "scgarch")
         np.testing.assert_array_equal(fit.cholesky.t_path, np.ones((100, 1, 1)))
         np.testing.assert_array_equal(fit.innovations, panel.values)
 
     def test_constant_coefficient_recovered(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=42)
-        fit = fit_scgarch(panel, ScgarchConfig(state_noise=(0.0,)))
+        fit = fit_model(panel, "scgarch", ScgarchConfig(state_noise=(0.0,)))
         late = -fit.cholesky.t_path[-100:, 1, 0]
         assert np.all(np.abs(late - 0.5) < 0.05)
 
@@ -151,7 +149,7 @@ class TestFitScgarch:
         variances = np.array([1.0, 2.0, 0.5])
         diag_ratios, max_corr = [], []
         for seed in range(20):
-            fit = fit_scgarch(iid_panel(2000, variances, seed=seed))
+            fit = fit_model(iid_panel(2000, variances, seed=seed), "scgarch")
             avg = fit.cov_path.sigmas.mean(axis=0)
             diag_ratios.append(np.diag(avg) / variances)
             corr = fit.cov_path.correlations().mean(axis=0)
@@ -162,14 +160,14 @@ class TestFitScgarch:
 
     def test_sine_covariance_tracking(self):
         data = generate_sim2(Sim2Config(seed=3))
-        fit = fit_scgarch(data.panel, TUNED)
+        fit = fit_model(data.panel, "scgarch", TUNED)
         est = fit.cov_path.correlations()[:, 1, 0]
         true = data.truth.correlations()[:, 1, 0]
         assert np.corrcoef(est, true)[0, 1] > 0.5
 
     def test_p1_reduces_to_plain_garch(self):
         panel = iid_panel(500, [2.0], seed=9)
-        fit = fit_scgarch(panel)
+        fit = fit_model(panel, "scgarch")
         plain = garch_fit(panel.values[:, 0])
         np.testing.assert_allclose(fit.cov_path.sigmas[:, 0, 0], plain.sigma2_path,
                                    rtol=1e-12)
@@ -177,7 +175,7 @@ class TestFitScgarch:
 
     def test_total_loglik_decomposes_per_series(self):
         panel = causal_chain_panel(400, seed=7)
-        fit = fit_scgarch(panel)
+        fit = fit_model(panel, "scgarch")
         parts = [
             garch_loglik(f.params, fit.innovations[:, j], f.sigma2_init)
             for j, f in enumerate(fit.garch_fits)
@@ -185,12 +183,12 @@ class TestFitScgarch:
         assert fit.total_loglik == pytest.approx(sum(parts), abs=1e-8)
 
     def test_every_sigma_is_pd(self):
-        fit = fit_scgarch(causal_chain_panel(300, seed=2))
+        fit = fit_model(causal_chain_panel(300, seed=2), "scgarch")
         np.linalg.cholesky(fit.cov_path.sigmas)  # raises if any step fails
 
     def test_likelihood_decomposition_identity(self):
         panel = causal_chain_panel(400, seed=5)
-        fit = fit_scgarch(panel)
+        fit = fit_model(panel, "scgarch")
         sig = fit.cov_path.sigmas
         y = panel.values
         direct = sum(
@@ -200,7 +198,7 @@ class TestFitScgarch:
         assert direct == pytest.approx(-fit.total_loglik, rel=1e-6)
 
     def test_innovations_are_whitened(self):
-        fit = fit_scgarch(causal_chain_panel(2000, seed=11))
+        fit = fit_model(causal_chain_panel(2000, seed=11), "scgarch")
         corr = np.corrcoef(fit.innovations, rowvar=False)
         assert np.max(np.abs(corr[np.triu_indices(3, 1)])) < 0.15
 
@@ -208,7 +206,7 @@ class TestFitScgarch:
         panel = causal_chain_panel(300, seed=13)
         perm = (2, 0, 1)
         fit_reordered = fit_model(panel, "scgarch", ScgarchConfig(), perm)
-        fit_direct = fit_scgarch(TimeSeriesPanel(panel.values[:, perm]))
+        fit_direct = fit_model(TimeSeriesPanel(panel.values[:, perm]), "scgarch")
         a = fit_reordered.cov_path.sigmas
         b = fit_direct.cov_path.sigmas
         for i in range(3):
@@ -218,7 +216,7 @@ class TestFitScgarch:
 
     def test_two_pass_runs(self):
         panel = constant_coefficient_panel(300, seed=21)
-        fit = fit_scgarch(panel, ScgarchConfig(two_pass=True))
+        fit = fit_model(panel, "scgarch", ScgarchConfig(two_pass=True))
         assert fit.cov_path.n == 300
         np.linalg.cholesky(fit.cov_path.sigmas)
 
@@ -241,7 +239,7 @@ class TestFitScgarch:
             return garch_fit(eps)
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
-        fit = fit_scgarch(panel, config)
+        fit = fit_model(panel, "scgarch", config)
         assert len(calls) == 5
         np.testing.assert_array_equal(fit.cholesky.t_path, t_path)
         np.testing.assert_array_equal(fit.innovations,
@@ -272,7 +270,7 @@ class TestFitScgarch:
 
     def test_rejects_short_panel(self):
         with pytest.raises(DimensionMismatch):
-            fit_scgarch(iid_panel(30, [1.0, 1.0], seed=0))
+            fit_model(iid_panel(30, [1.0, 1.0], seed=0), "scgarch")
 
 
 @pytest.mark.parametrize("name, value", [
@@ -310,8 +308,8 @@ def test_config_sorts_the_state_noise_candidates():
     unsorted = ScgarchConfig(state_noise=(1e-2, 1e-6, 1e-4))
     assert unsorted.state_noise == (1e-6, 1e-4, 1e-2)
     panel = causal_chain_panel(200, seed=4)
-    a = fit_scgarch(panel, unsorted)
-    b = fit_scgarch(panel, ScgarchConfig(state_noise=(1e-6, 1e-4, 1e-2)))
+    a = fit_model(panel, "scgarch", unsorted)
+    b = fit_model(panel, "scgarch", ScgarchConfig(state_noise=(1e-6, 1e-4, 1e-2)))
     np.testing.assert_array_equal(a.cov_path.sigmas, b.cov_path.sigmas)
     assert a.total_loglik == b.total_loglik
 
@@ -319,8 +317,8 @@ def test_config_sorts_the_state_noise_candidates():
 class TestFitCgarch:
     def test_static_t_agrees_with_late_filtered_t(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=8)
-        static = fit_cgarch(panel)
-        dynamic = fit_scgarch(panel, ScgarchConfig(state_noise=(0.0,)))
+        static = fit_model(panel, "cgarch")
+        dynamic = fit_model(panel, "scgarch", ScgarchConfig(state_noise=(0.0,)))
         phi_static = -static.cholesky.t_path[0, 1, 0]
         phi_late = -dynamic.cholesky.t_path[-1, 1, 0]
         assert abs(phi_static - phi_late) < 0.05
@@ -329,7 +327,7 @@ class TestFitCgarch:
 
     def test_p1_matches_scgarch(self):
         panel = iid_panel(400, [1.5], seed=14)
-        a, b = fit_cgarch(panel), fit_scgarch(panel)
+        a, b = fit_model(panel, "cgarch"), fit_model(panel, "scgarch")
         np.testing.assert_allclose(a.cov_path.sigmas, b.cov_path.sigmas, rtol=1e-12)
 
     def test_scgarch_tracks_better_on_sine_design(self):
@@ -338,8 +336,8 @@ class TestFitCgarch:
         for rep in range(reps):
             data = generate_sim2(Sim2Config(seed=5000 + rep))
             truth = data.truth.correlations()[:, 1, 0]
-            sc = fit_scgarch(data.panel).cov_path.correlations()[:, 1, 0]
-            cg = fit_cgarch(data.panel).cov_path.correlations()[:, 1, 0]
+            sc = fit_model(data.panel, "scgarch").cov_path.correlations()[:, 1, 0]
+            cg = fit_model(data.panel, "cgarch").cov_path.correlations()[:, 1, 0]
             wins += np.corrcoef(sc, truth)[0, 1] > np.corrcoef(cg, truth)[0, 1]
         assert wins > reps / 2
 
