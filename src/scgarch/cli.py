@@ -44,6 +44,7 @@ from .model import (
     DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_ORDERING_SAMPLES,
     DEFAULT_TUNE_GRID,
+    MODELS,
     CovariancePath,
     ScgarchConfig,
     bic,
@@ -56,10 +57,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_BENCHMARK_FAILED = 4
-
-
-class ConfigFileError(Exception):
-    pass
 
 
 class _Subcommand(argparse.ArgumentParser):
@@ -182,14 +179,14 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if bool(args.truth) == bool(args.moving_block):
-        raise ConfigFileError("exactly one of --truth or --moving-block is required")
+        raise ValueError("exactly one of --truth or --moving-block is required")
     estimate = io.read_cov_path(args.estimate)
     if args.truth:
         truth = io.read_cov_path(args.truth)
         source = f"file:{args.truth}"
     else:
         if not args.panel or args.block_size is None:
-            raise ConfigFileError("--moving-block requires --panel and --block-size")
+            raise ValueError("--moving-block requires --panel and --block-size")
         truth = moving_block_proxy(io.read_panel(args.panel), args.block_size)
         source = f"moving-block(q={args.block_size})"
     report = loss_paths(estimate, truth, args.scale)
@@ -246,10 +243,10 @@ def _add_common(sub):
 
 
 def _add_fit_options(sub):
-    sub.add_argument("--kalman-q", type=float, default=1e-4,
+    sub.add_argument("--kalman-q", type=float, default=ScgarchConfig.state_noise[0],
                      help="coefficient random-walk noise scale (ignored with "
                           "--tune-state-noise)")
-    sub.add_argument("--kalman-kappa", type=float, default=10.0,
+    sub.add_argument("--kalman-kappa", type=float, default=ScgarchConfig.kappa,
                      help="prior covariance scale for the coefficients")
     sub.add_argument("--tune-state-noise", action="store_true",
                      help="pick the walk noise per regression by predictive "
@@ -269,22 +266,22 @@ def build_parser():
 
     sim = subparsers.add_parser("simulate", help="generate synthetic data")
     sim.add_argument("kind", choices=["sim1", "sim2"])
-    sim.add_argument("--n", type=int, default=1024)
+    sim.add_argument("--n", type=int, default=Sim2Config.n)
     sim.add_argument("--seed", type=uint64, default=0)
-    sim.add_argument("--q-true", type=float, default=0.01,
+    sim.add_argument("--q-true", type=float, default=Sim1Config.q_true,
                      help="sim1 coefficient walk variance")
-    sim.add_argument("--meas-var", type=float, default=1.0,
+    sim.add_argument("--meas-var", type=float, default=Sim1Config.meas_var,
                      help="sim1 measurement noise variance")
-    sim.add_argument("--deltas", type=float, nargs=3, default=[128.0, 256.0, 64.0],
+    sim.add_argument("--deltas", type=float, nargs=3, default=Sim2Config.deltas,
                      help="sim2 sine time scales for pairs (2,1), (3,1), (3,2)")
-    sim.add_argument("--diag", type=float, nargs=3, default=[2.0, 3.0, 4.0],
+    sim.add_argument("--diag", type=float, nargs=3, default=Sim2Config.diag,
                      help="sim2 variances")
     _add_common(sim)
     sim.set_defaults(func=cmd_simulate)
 
     fit = subparsers.add_parser("fit", help="fit a covariance-path model to a panel")
     fit.add_argument("panel", help="panel CSV (header labels, one row per step)")
-    fit.add_argument("--model", choices=["scgarch", "cgarch"], default="scgarch")
+    fit.add_argument("--model", choices=list(MODELS), default="scgarch")
     fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-sampled"],
                      default="fixed")
     fit.add_argument("--bic-limit", type=positive_int, default=DEFAULT_EXHAUSTIVE_LIMIT,
@@ -326,13 +323,13 @@ def build_parser():
         "benchmark",
         help="simulate, fit both models, and score them against the truth",
     )
-    bench.add_argument("--replications", type=int, default=20)
-    bench.add_argument("--n", type=int, default=1024)
+    bench.add_argument("--replications", type=int, default=BenchmarkConfig.replications)
+    bench.add_argument("--n", type=int, default=BenchmarkConfig.n)
     bench.add_argument("--seed", type=uint64, default=0)
     bench.add_argument("--kalman-q", type=float, default=None,
                        help="fixed walk-noise scale (default: tuned per "
                             "regression over a log grid)")
-    bench.add_argument("--kalman-kappa", type=float, default=10.0)
+    bench.add_argument("--kalman-kappa", type=float, default=ScgarchConfig.kappa)
     bench.add_argument("--jobs", type=job_count, default=1,
                        help="worker processes for replications (1 to the CPU count)")
     _add_common(bench)
@@ -356,17 +353,17 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise ConfigFileError(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise ConfigFileError(f"{path}, line {lineno}: expected key=value")
+            raise ValueError(f"{path}, line {lineno}: expected key=value")
         key, raw = (part.strip() for part in text.split("=", 1))
         dest = key.replace("-", "_")
         if dest not in sub.options:
-            raise ConfigFileError(f"{path}, line {lineno}: unknown option '{key}'")
+            raise ValueError(f"{path}, line {lineno}: unknown option '{key}'")
         action = sub.options[dest]
         convert = action.type or str
         try:
@@ -381,7 +378,7 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
                 if action.choices and value not in action.choices:
                     raise ValueError(f"'{value}' not in {action.choices}")
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ConfigFileError(f"{path}, line {lineno}: option '{key}': {exc}")
+            raise ValueError(f"{path}, line {lineno}: option '{key}': {exc}")
         overrides[dest] = value
     return overrides
 
@@ -414,7 +411,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (PanelFormatError, InvalidBlockSize, DimensionMismatch, TooManyPermutations,
-            ConfigFileError, OSError, ValueError) as exc:
+            OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ScgarchError as exc:

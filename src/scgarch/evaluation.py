@@ -56,13 +56,13 @@ class BlockSelection:
     stable: bool  # false when no candidate met the stabilization rule
 
 
-def validate_block_size(q: int, n: int | None = None):
+def validate_block_size(q: int, n: int):
     q = int(q)
     if q % 2 == 0:
         raise InvalidBlockSize(f"block size must be odd, got {q}")
     if q < 3:
         raise BlockTooSmall(f"block size must be >= 3, got {q}")
-    if n is not None and q > n:
+    if q > n:
         raise BlockTooLarge(f"block size {q} exceeds series length {n}")
     return q
 

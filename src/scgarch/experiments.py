@@ -14,10 +14,10 @@ from functools import partial
 
 import numpy as np
 
-from .evaluation import loss_paths
+from .evaluation import SCALES, loss_paths
 from .exceptions import ScgarchError
 from .kalman import KalmanConfig, filter_regression
-from .model import DEFAULT_TUNE_GRID, MIN_FIT_PANEL_LENGTH, ScgarchConfig, fit_model
+from .model import DEFAULT_TUNE_GRID, MIN_FIT_PANEL_LENGTH, MODELS, ScgarchConfig, fit_model
 from .simulate import Sim1Config, Sim2Config, generate_sim1, generate_sim2
 
 # Base seed for the bias study.  The filter estimate is exactly unbiased
@@ -38,20 +38,21 @@ class Sim1BiasConfig:
     ``KalmanConfig.default``); the statistic is the mean of the
     filtered-minus-true coefficient over the last ``SIM1_LAST_K`` points,
     averaged over replications.  No replication, no size, a size below 1
-    or a negative base seed raise ValueError.
+    or listed twice, or a negative base seed raise ValueError.
     """
 
     sizes: tuple[int, ...] = (100, 500, 1000)
     replications: int = 200
     base_seed: int = SIM1_BASE_SEED
-    q_true: float = 0.01
-    meas_var: float = 1.0
+    q_true: float = Sim1Config.q_true
+    meas_var: float = Sim1Config.meas_var
 
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if not self.sizes or min(self.sizes) < 1:
-            raise ValueError(f"need at least one size, each >= 1, got {self.sizes}")
+        if not self.sizes or min(self.sizes) < 1 or len(set(self.sizes)) < len(self.sizes):
+            raise ValueError(f"need at least one size, each >= 1 and listed once, "
+                             f"got {self.sizes}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
@@ -109,7 +110,7 @@ class BenchmarkConfig:
     """
 
     replications: int = 20
-    n: int = 1024
+    n: int = Sim2Config.n
     seed: int = 0
     fit: ScgarchConfig = field(
         default_factory=lambda: ScgarchConfig(state_noise=DEFAULT_TUNE_GRID)
@@ -136,14 +137,10 @@ class BenchmarkRow:
 class BenchmarkResult:
     rows: list[BenchmarkRow]
     failures: list[tuple[int, str, str]]  # (replication, model, message)
-    replications: int
 
     @property
     def all_failed(self) -> bool:
         return all(row.replications == 0 for row in self.rows)
-
-
-_BENCH_MODELS = ("scgarch", "cgarch")
 
 
 def _benchmark_one(cfg: BenchmarkConfig, rep: int):
@@ -154,10 +151,10 @@ def _benchmark_one(cfg: BenchmarkConfig, rep: int):
     """
     data = generate_sim2(Sim2Config(n=cfg.n, seed=cfg.seed + rep))
     losses, failures = {}, []
-    for name in _BENCH_MODELS:
+    for name in MODELS:
         try:
             result = fit_model(data.panel, name, cfg.fit)
-            for scale in ("covariance", "correlation"):
+            for scale in SCALES:
                 rep_losses = loss_paths(result.cov_path, data.truth, scale)
                 losses[(name, scale)] = (rep_losses.mae, rep_losses.mse)
         except (ScgarchError, np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -178,8 +175,8 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
     outcomes = _replicate(partial(_benchmark_one, cfg), range(cfg.replications), jobs)
     failures = [f for _, fails in outcomes for f in fails]
     rows = []
-    for name in _BENCH_MODELS:
-        for scale in ("covariance", "correlation"):
+    for name in MODELS:
+        for scale in SCALES:
             vals = [losses[(name, scale)] for losses, _ in outcomes
                     if (name, scale) in losses]
             if vals:
@@ -189,4 +186,4 @@ def run_benchmark(cfg: BenchmarkConfig | None = None, jobs: int = 1
             else:
                 rows.append(BenchmarkRow(name, scale, float("nan"),
                                          float("nan"), 0))
-    return BenchmarkResult(rows, failures, cfg.replications)
+    return BenchmarkResult(rows, failures)

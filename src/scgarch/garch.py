@@ -105,18 +105,16 @@ def _lagged(x: np.ndarray, first: float) -> np.ndarray:
     return lag
 
 
-def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> np.ndarray:
+def garch_filter(params: GarchParams, eps, sigma2_init: float) -> np.ndarray:
     """Run the variance recursion over an innovation series.
 
     Pre-sample squared innovations and variances are both set to
-    ``sigma2_init`` (default: the sample variance of ``eps``).  The output
-    is strictly positive for any valid parameters.
+    ``sigma2_init`` (finite and > 0; ``garch_fit`` uses the sample
+    variance).  The output is strictly positive for any valid parameters.
     """
     eps = np.asarray(eps, dtype=float).reshape(-1)
     if eps.shape[0] < 1:
         raise InvalidParameters("need at least one observation")
-    if sigma2_init is None:
-        sigma2_init = np.var(eps)
     if not (np.isfinite(sigma2_init) and sigma2_init > 0):
         raise InvalidParameters(f"sigma2_init must be finite and > 0, got {sigma2_init}")
     sigma2_init = float(sigma2_init)
@@ -126,9 +124,10 @@ def garch_filter(params: GarchParams, eps, sigma2_init: float | None = None) -> 
     return s2
 
 
-def garch_loglik(params: GarchParams, eps, sigma2_init: float | None = None) -> float:
+def garch_loglik(params: GarchParams, eps, sigma2_init: float) -> float:
     """Gaussian log-likelihood up to an additive constant, sign-flipped so
-    that larger is better: ``-sum(log s2[t] + eps[t]**2 / s2[t])``."""
+    that larger is better: ``-sum(log s2[t] + eps[t]**2 / s2[t])``, with
+    ``s2`` the ``garch_filter`` path started from ``sigma2_init``."""
     eps = np.asarray(eps, dtype=float).reshape(-1)
     s2 = garch_filter(params, eps, sigma2_init)
     return float(-np.sum(np.log(s2) + eps * eps / s2))

@@ -248,11 +248,11 @@ def write_garch_params(path, fits, labels):
                        "boundary"], rows)
 
 
-def write_eval_report(path, report, comment: str | None = None):
-    """Per-step losses plus a final averages row labelled ``mean``."""
+def write_eval_report(path, report, comment: str):
+    """A ``# comment`` line, then per-step losses plus a final averages
+    row labelled ``mean``."""
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "mae", "mse"])
         _write_steps(fh, np.column_stack([report.mae_path, report.mse_path]),

@@ -209,12 +209,12 @@ def _fit_garch_column(eps: np.ndarray, series: int) -> GarchFit:
 
 
 MIN_FIT_PANEL_LENGTH = 50
-_MODELS = ("cgarch", "scgarch")
+MODELS = ("scgarch", "cgarch")
 
 
 def _check(panel: TimeSeriesPanel, model: str):
-    if model not in _MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {list(_MODELS)}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {list(MODELS)}")
     if panel.n < MIN_FIT_PANEL_LENGTH:
         raise DimensionMismatch(
             f"need at least {MIN_FIT_PANEL_LENGTH} observations, got {panel.n}"

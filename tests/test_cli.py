@@ -16,7 +16,8 @@ from scgarch.experiments import (
     run_sim1_bias,
 )
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
-from scgarch.model import CovariancePath, TimeSeriesPanel, fit_model
+from scgarch.model import CovariancePath, ScgarchConfig, TimeSeriesPanel, fit_model
+from scgarch.simulate import Sim1Config, Sim2Config
 
 
 SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consistency.py"
@@ -24,6 +25,14 @@ SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consist
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture
+def script():
+    spec = importlib.util.spec_from_file_location("sim1_consistency", SIM1_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_iid_panel(path, n, p, seed=0, scale=1.0):
@@ -302,7 +311,7 @@ class TestBenchmark:
 
         def record(config, jobs):
             seen.append(config.fit.state_noise)
-            return BenchmarkResult([BenchmarkRow("scgarch", "covariance", 0.0, 0.0, 1)], [], 1)
+            return BenchmarkResult([BenchmarkRow("scgarch", "covariance", 0.0, 0.0, 1)], [])
         monkeypatch.setattr(cli, "run_benchmark", record)
         tuned, fixed = tmp_path / "tuned", tmp_path / "fixed"
         assert run("benchmark", "--out-dir", tuned) == 0
@@ -325,7 +334,7 @@ class TestBenchmark:
 
     def test_all_failed_property(self):
         rows = [BenchmarkRow("scgarch", "covariance", float("nan"), float("nan"), 0)]
-        result = BenchmarkResult(rows, [(0, "scgarch", "boom")], 1)
+        result = BenchmarkResult(rows, [(0, "scgarch", "boom")])
         assert result.all_failed
 
 
@@ -438,17 +447,10 @@ class TestExperimentJobs:
             raise AssertionError("a process pool was created")
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
 
-    @pytest.fixture
-    def script(self):
-        spec = importlib.util.spec_from_file_location("sim1_consistency", SIM1_SCRIPT)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
     @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-1"],
                                       ["--jobs", str((os.cpu_count() or 1) + 1)],
                                       ["--replications", "0"], ["--sizes", "0"],
-                                      ["--base-seed", "-1"]])
+                                      ["--base-seed", "-1"], ["--sizes", "20", "20"]])
     def test_script_rejects_out_of_range(self, script, no_pool, argv):
         with pytest.raises(SystemExit) as exc:
             script.main(argv)
@@ -463,7 +465,33 @@ class TestExperimentJobs:
 
 
 @pytest.mark.parametrize("settings", [dict(replications=0), dict(sizes=()),
-                                      dict(sizes=(20, 0)), dict(base_seed=-1)])
+                                      dict(sizes=(20, 0)), dict(base_seed=-1),
+                                      dict(sizes=(20, 20))])
 def test_sim1_bias_config_rejects_out_of_range(settings):
     with pytest.raises(ValueError):
         Sim1BiasConfig(**settings)
+
+
+@pytest.mark.parametrize("command, dest, expected", [
+    ("simulate", "n", Sim2Config().n),
+    ("simulate", "deltas", Sim2Config().deltas),
+    ("simulate", "diag", Sim2Config().diag),
+    ("simulate", "q_true", Sim1Config(n=1).q_true),
+    ("simulate", "meas_var", Sim1Config(n=1).meas_var),
+    ("fit", "kalman_kappa", ScgarchConfig().kappa),
+    ("fit", "kalman_q", ScgarchConfig().state_noise[0]),
+    ("benchmark", "kalman_kappa", ScgarchConfig().kappa),
+    ("benchmark", "replications", BenchmarkConfig().replications),
+    ("benchmark", "n", BenchmarkConfig().n),
+    ("sim1_consistency.py", "sizes", Sim1BiasConfig().sizes),
+    ("sim1_consistency.py", "replications", Sim1BiasConfig().replications),
+    ("sim1_consistency.py", "base_seed", Sim1BiasConfig().base_seed),
+    ("sim1_consistency.py", "q_true", Sim1BiasConfig().q_true),
+    ("sim1_consistency.py", "meas_var", Sim1BiasConfig().meas_var),
+])
+def test_parser_default_is_the_config_default(script, command, dest, expected):
+    if command == "sim1_consistency.py":
+        parser = script.build_parser()
+    else:
+        parser = cli.build_parser()[1][command]
+    assert parser.get_default(dest) == expected
