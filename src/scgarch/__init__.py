@@ -20,7 +20,6 @@ from .garch import GarchFit, GarchParams, garch_filter, garch_fit, garch_loglik,
 from .kalman import KalmanConfig, KalmanRun, filter_regression, tune_state_noise
 from .mcd import mcd_decompose, mcd_reconstruct
 from .model import (
-    CholeskyPath,
     CovariancePath,
     ScgarchConfig,
     ScgarchFitResult,
@@ -39,7 +38,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CholeskyPath",
     "CovariancePath",
     "EvalReport",
     "GarchFit",

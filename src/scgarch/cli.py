@@ -157,7 +157,7 @@ def cmd_fit(args) -> int:
     io.write_cov_path(out / "cov_path.csv", result.cov_path)
     io.write_cov_path(out / "corr_path.csv",
                       CovariancePath(result.cov_path.correlations()))
-    io.write_coeff_path(out / "coeff_path.csv", result.cholesky.t_path)
+    io.write_coeff_path(out / "coeff_path.csv", result.t_path)
     processing_labels = [panel.labels[k] for k in result.ordering]
     io.write_garch_params(out / "garch_params.csv", result.garch_fits,
                           processing_labels)
@@ -200,6 +200,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_select_block(args) -> int:
+    if args.candidates is None:
+        raise ValueError("select-block needs --candidates")
     panel = io.read_panel(args.panel)
     selection = select_block_size(panel, args.candidates, args.threshold)
     out = _out_dir(args)
@@ -310,8 +312,8 @@ def build_parser():
     sel = subparsers.add_parser("select-block",
                                 help="choose a moving-block window width")
     sel.add_argument("panel", help="panel CSV")
-    sel.add_argument("--candidates", type=int, nargs="+", required=True,
-                     help="increasing odd window widths to score")
+    sel.add_argument("--candidates", type=int, nargs="+",
+                     help="increasing odd window widths to score (required)")
     sel.add_argument("--threshold", type=float,
                      default=DEFAULT_STABILIZATION_FRACTION,
                      help="stabilization threshold as a fraction of the "
@@ -384,21 +386,14 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
 
 
 def _parse_args(parser, submap, argv):
-    """Parse ``argv``; an option that the ``--config`` file sets counts as
-    given, so a required one need not be repeated on the command line."""
-    required = [action for sub in submap.values()
-                for action in sub.options.values() if action.required]
-    for action in required:
-        action.required = False
+    """Parse ``argv``, then again over the ``--config`` file's values, if
+    any, as the subcommand's defaults."""
     args = parser.parse_args(argv)
-    overrides = {}
     if args.config:
         sub = submap[args.command]
-        overrides = load_config_overrides(args.config, sub)
-        sub.set_defaults(**overrides)
-    for action in required:
-        action.required = action.dest not in overrides
-    return parser.parse_args(argv)
+        sub.set_defaults(**load_config_overrides(args.config, sub))
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:

@@ -2,12 +2,14 @@
 
 ``fit_model(panel, "scgarch", config)`` runs the two-step pipeline:
 (1) filter each variable's regression on its predecessors to get
-time-varying coefficient rows and mutually uncorrelated innovations;
-(2) fit a GARCH(1,1) model to each innovation series.  The covariance
-path is assembled per time step as ``inv(T_t) @ diag(D_t) @ inv(T_t).T``,
-positive definite by construction.  ``fit_model(panel, "cgarch")`` is the
-constant-coefficient baseline (static T from the full-sample
-regressions, GARCH step unchanged).  Either model takes the variables in
+time-varying coefficient rows of T_t and mutually uncorrelated
+innovations; (2) fit a GARCH(1,1) model to each innovation series, whose
+variance paths are D_t.  The covariance path is assembled per time step
+as ``inv(T_t) @ diag(D_t) @ inv(T_t).T``, positive definite by
+construction, as T_t is unit lower triangular and D_t > 0; neither is
+checked.  ``fit_model(panel, "cgarch")`` is the constant-coefficient
+baseline (static T from the full-sample regressions, GARCH step
+unchanged).  Either model takes the variables in
 panel order unless ``fit_model`` is given an ``ordering``, and
 ``order_by_bic`` picks the ordering of either model by BIC and returns
 its fit.
@@ -48,7 +50,8 @@ _MEAS_VAR_FLOOR = 1e-12
 
 @dataclass
 class TimeSeriesPanel:
-    """An n x p panel of mean-zero observations with unique column labels."""
+    """An n x p panel of mean-zero observations with unique column labels,
+    stripped of surrounding whitespace as the CSV reader strips them."""
 
     values: np.ndarray
     labels: list[str] = None
@@ -65,7 +68,7 @@ class TimeSeriesPanel:
         if self.labels is None:
             self.labels = [f"y{j + 1}" for j in range(p)]
         else:
-            self.labels = [str(l) for l in self.labels]
+            self.labels = [str(l).strip() for l in self.labels]
         if len(self.labels) != p or len(set(self.labels)) != p:
             raise DimensionMismatch("labels must be unique and match the panel width")
 
@@ -76,28 +79,6 @@ class TimeSeriesPanel:
     @property
     def p(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass
-class CholeskyPath:
-    """Per-time unit-lower-triangular factors and innovation variances."""
-
-    t_path: np.ndarray  # (n, p, p)
-    d_path: np.ndarray  # (n, p)
-
-    def __post_init__(self):
-        t, d = np.asarray(self.t_path, float), np.asarray(self.d_path, float)
-        if t.ndim != 3 or t.shape[1] != t.shape[2] or d.shape != t.shape[:2]:
-            raise DimensionMismatch(f"inconsistent path shapes {t.shape}, {d.shape}")
-        p = t.shape[1]
-        diag = t[:, np.arange(p), np.arange(p)]
-        if not np.array_equal(diag, np.ones_like(diag)):
-            raise DimensionMismatch("t_path diagonals must be exactly 1")
-        if np.any(t[:, np.triu_indices(p, 1)[0], np.triu_indices(p, 1)[1]] != 0):
-            raise DimensionMismatch("t_path must be lower triangular")
-        if np.any(d <= 0):
-            raise NonPositiveDiagonal("d_path must be strictly positive")
-        self.t_path, self.d_path = t, d
 
 
 @dataclass
@@ -173,14 +154,15 @@ class ScgarchConfig:
 class ScgarchFitResult:
     """Everything produced by one pipeline fit.
 
-    ``cholesky``, ``innovations`` and ``garch_fits`` are in processing
-    order (the variables taken in ``ordering``); ``cov_path`` is reported
-    in the original variable order.
+    ``t_path`` (n, p, p), unit lower triangular by construction,
+    ``innovations`` and ``garch_fits``, whose ``sigma2_path``s are the
+    variances D_t >= omega > 0, are in processing order (the variables
+    taken in ``ordering``); ``cov_path`` is in the original variable order.
     """
 
     model: str
     ordering: tuple[int, ...]
-    cholesky: CholeskyPath
+    t_path: np.ndarray
     innovations: np.ndarray
     garch_fits: list[GarchFit]
     cov_path: CovariancePath
@@ -194,6 +176,9 @@ def check_permutation(ordering, p: int) -> tuple[int, ...]:
     return perm
 
 
+# Squares that overflow give an infinite variance, which the Kalman pass
+# reports as a typed failure.
+@np.errstate(over="ignore")
 def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     phi = np.linalg.lstsq(x, y, rcond=None)[0]
     resid = y - x @ phi
@@ -248,7 +233,8 @@ def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs
     by_size: dict[int, list] = {}
     for pair in dict.fromkeys(pairs):
         by_size.setdefault(len(pair[1]), []).append(pair)
-    second_moment = (y.T @ y) / y.shape[0] if model == "cgarch" else None
+    with np.errstate(over="ignore"):  # an overflow fails the static MCD check
+        second_moment = (y.T @ y) / y.shape[0] if model == "cgarch" else None
     fitted = {}
     for size, group in sorted(by_size.items()):
         if size == 0:
@@ -293,14 +279,12 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
     eye = np.eye(len(preds[0]))
     grid = config.state_noise
 
+    # A pair whose every candidate overflows has no best candidate below.
+    @np.errstate(over="ignore", invalid="ignore")
     def filter_pass(yb, xb, q, meas_var, keep_phi):
-        try:
-            return _gain_filter(yb, xb, np.zeros(len(eye)), config.kappa * eye, q,
-                                meas_var, keep_phi)[:3]
-        except ScgarchError as exc:
-            # Every pair has the same prior and candidates, so if one
-            # fails the first-prediction check they all do.
-            raise PipelineError("kalman", targets[0] + 1, exc) from exc
+        # ScgarchConfig makes kappa + q > 0: the kernel's t=0 check cannot fail.
+        return _gain_filter(yb, xb, np.zeros(len(eye)), config.kappa * eye, q,
+                            meas_var, keep_phi)[:3]
 
     n, g = y.shape[0], len(grid)
     yb = y[:, targets]
@@ -348,14 +332,14 @@ def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
         t_path[:, k, rank[sorted(pair[1])]] = -fitted[pair][0]
     innovations = np.column_stack([fitted[pair][1] for pair in pairs])
     fits = [fitted[pair][2] for pair in pairs]
-    d_path = np.column_stack([f.sigma2_path for f in fits])
+    sigma = mcd_reconstruct(t_path, np.column_stack([f.sigma2_path for f in fits]))
     return ScgarchFitResult(
         model=model,
         ordering=perm,
-        cholesky=CholeskyPath(t_path, d_path),
+        t_path=t_path,
         innovations=innovations,
         garch_fits=fits,
-        cov_path=CovariancePath(mcd_reconstruct(t_path, d_path)[:, rank][:, :, rank]),
+        cov_path=CovariancePath(sigma[:, rank][:, :, rank]),
         total_loglik=float(sum(f.loglik for f in fits)),
     )
 

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,7 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     ["fit", "panel.csv", "--ordering", "bic-exhaustive", "--bic-limit", 2],
     ["benchmark", "--n", 10],
     ["select-block", "panel.csv", "--candidates", 5, 9, "--threshold", "nan"],
+    ["select-block", "panel.csv"],  # no --candidates
 ])
 def test_rejected_run_creates_no_directory(tmp_path, argv):
     write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
@@ -194,6 +196,23 @@ class TestFit:
         with np.errstate(all="ignore"):
             assert run("fit", tmp_path / "panel.csv", "--out-dir", tmp_path) == 3
         assert "stage 'garch' failed for series 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, options", [
+        (1e155, []), (1.0, ["--kalman-kappa", 1e308, "--kalman-q", 1e308])])
+    def test_overflowing_regression_is_exit_3_without_warnings(
+            self, tmp_path, capsys, scale, options):
+        eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 120, seed=5)
+        other = np.random.default_rng(5).standard_normal(120)
+        io.write_panel(tmp_path / "panel.csv",
+                       TimeSeriesPanel(np.column_stack([other, eps * scale])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("fit", tmp_path / "panel.csv", *options,
+                       "--out-dir", tmp_path) == 3
+        assert caught == []
+        err = capsys.readouterr().err
+        assert "stage 'kalman' failed for series 2" in err
+        assert "RuntimeWarning" not in err
 
     def test_missing_input_is_exit_2(self, tmp_path):
         assert run("fit", tmp_path / "nope.csv", "--out-dir", tmp_path) == 2
@@ -419,9 +438,8 @@ class TestConfigFile:
         write_iid_panel(panel_path, 400, 2, seed=2)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("threshold = 0.1\n")
-        with pytest.raises(SystemExit) as exc:
-            run("select-block", panel_path, "--config", cfg, "--out-dir", tmp_path)
-        assert exc.value.code == 2
+        assert run("select-block", panel_path, "--config", cfg,
+                   "--out-dir", tmp_path) == 2
         assert "--candidates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["deltas = 64 x 16", "deltas = 64 32",

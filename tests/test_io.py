@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from scgarch import io
 from scgarch.evaluation import EvalReport
-from scgarch.exceptions import PanelFormatError
+from scgarch.exceptions import DimensionMismatch, PanelFormatError
 from scgarch.garch import GarchFit, GarchParams
 from scgarch.model import CovariancePath, TimeSeriesPanel
 
@@ -52,6 +52,17 @@ class TestPanelRoundTrip:
         back = io.read_panel(path)
         np.testing.assert_array_equal(back.values, panel.values)
         assert back.labels == panel.labels
+
+    def test_labels_round_trip_without_surrounding_whitespace(self, tmp_path):
+        panel = TimeSeriesPanel(np.eye(3)[:, :2], [" a", "b "])
+        assert panel.labels == ["a", "b"]
+        io.write_panel(tmp_path / "panel.csv", panel)
+        assert io.read_panel(tmp_path / "panel.csv").labels == panel.labels
+
+    def test_labels_equal_once_stripped_are_duplicates(self):
+        # The reader would strip them to the same label.
+        with pytest.raises(DimensionMismatch):
+            TimeSeriesPanel(np.eye(3)[:, :2], ["a", " a"])
 
     def test_missing_cell_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from scgarch import model
 from scgarch.exceptions import (
@@ -13,9 +15,9 @@ from scgarch.exceptions import (
 )
 from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
 from scgarch.kalman import KalmanConfig, filter_regression, tune_state_noise
+from scgarch.kalman import _gain_filter
 from scgarch.mcd import mcd_reconstruct
 from scgarch.model import (
-    CholeskyPath,
     CovariancePath,
     ScgarchConfig,
     TimeSeriesPanel,
@@ -126,13 +128,13 @@ class TestExtractInnovations:
     def test_p1_passthrough(self):
         panel = iid_panel(100, [1.0], seed=0)
         fit = fit_model(panel, "scgarch")
-        np.testing.assert_array_equal(fit.cholesky.t_path, np.ones((100, 1, 1)))
+        np.testing.assert_array_equal(fit.t_path, np.ones((100, 1, 1)))
         np.testing.assert_array_equal(fit.innovations, panel.values)
 
     def test_constant_coefficient_recovered(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=42)
         fit = fit_model(panel, "scgarch", ScgarchConfig(state_noise=(0.0,)))
-        late = -fit.cholesky.t_path[-100:, 1, 0]
+        late = -fit.t_path[-100:, 1, 0]
         assert np.all(np.abs(late - 0.5) < 0.05)
 
     def test_triangular_identity(self):
@@ -140,7 +142,7 @@ class TestExtractInnovations:
         panel = causal_chain_panel(300, seed=1)
         for perm in [(0, 1, 2), (2, 0, 1), (1, 2, 0)]:
             fit = fit_model(panel, "scgarch", ScgarchConfig(), perm)
-            resid = np.einsum("tij,tj->ti", fit.cholesky.t_path, panel.values[:, perm])
+            resid = np.einsum("tij,tj->ti", fit.t_path, panel.values[:, perm])
             np.testing.assert_allclose(resid, fit.innovations, atol=1e-10)
 
 
@@ -241,7 +243,7 @@ class TestFitScgarch:
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         fit = fit_model(panel, "scgarch", config)
         assert len(calls) == 5
-        np.testing.assert_array_equal(fit.cholesky.t_path, t_path)
+        np.testing.assert_array_equal(fit.t_path, t_path)
         np.testing.assert_array_equal(fit.innovations,
                                       np.column_stack([e for _, e, _ in expected]))
         np.testing.assert_array_equal(fit.cov_path.sigmas, expected_cov)
@@ -254,16 +256,19 @@ class TestFitScgarch:
             fit_model(panel, "scgarch", ScgarchConfig(), (1, 0))
         assert (exc.value.stage, exc.value.index) == ("garch", 2)
 
-    @pytest.mark.parametrize("ordering, stage", [((1, 0), "garch"), ((0, 1), "kalman")])
+    @pytest.mark.parametrize("ordering, stage", [((1, 0), "garch"), ((0, 1), "kalman"),
+                                                 ((0, 1), "static-mcd")])
     def test_overflowing_series_is_a_typed_failure(self, ordering, stage):
         # Column 2's squares overflow.  First in the ordering, its GARCH fit
         # has no finite candidate; second, its regression has no state
-        # noise with a finite predictive likelihood.
+        # noise with a finite predictive likelihood, or, in cgarch, the
+        # second moment is not positive definite.  No warning is emitted.
         eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 200, seed=3)
         first = np.random.default_rng(0).standard_normal(200)
         panel = TimeSeriesPanel(np.column_stack([first, eps * 1e155]))
-        with np.errstate(all="ignore"), pytest.raises(PipelineError) as exc:
-            fit_model(panel, "scgarch", TUNED, ordering)
+        model_name = "cgarch" if stage == "static-mcd" else "scgarch"
+        with pytest.raises(PipelineError) as exc:
+            fit_model(panel, model_name, TUNED, ordering)
         assert (exc.value.stage, exc.value.index) == (stage, 2)
         if stage == "garch":
             assert isinstance(exc.value.cause, DegenerateSeries)
@@ -314,16 +319,35 @@ def test_config_sorts_the_state_noise_candidates():
     assert a.total_loglik == b.total_loglik
 
 
+CONFIG_VALUES = st.one_of(st.just(5e-324), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=CONFIG_VALUES, grid=st.lists(CONFIG_VALUES, min_size=1, max_size=4))
+def test_every_accepted_config_passes_the_first_prediction_check(kappa, grid):
+    # The model's Kalman pass relies on this: it maps no kernel error.
+    try:
+        config = ScgarchConfig(kappa=kappa, state_noise=tuple(grid))
+    except ValueError:
+        reject()
+    b = len(config.state_noise)
+    for d in range(1, 8):
+        eye = np.eye(d)
+        _gain_filter(np.zeros((1, b)), np.zeros((1, b, d)), np.zeros(d),
+                     config.kappa * eye, np.multiply.outer(config.state_noise, eye),
+                     np.ones((1, b)))
+
+
 class TestFitCgarch:
     def test_static_t_agrees_with_late_filtered_t(self):
         panel = constant_coefficient_panel(1000, phi=0.5, seed=8)
         static = fit_model(panel, "cgarch")
         dynamic = fit_model(panel, "scgarch", ScgarchConfig(state_noise=(0.0,)))
-        phi_static = -static.cholesky.t_path[0, 1, 0]
-        phi_late = -dynamic.cholesky.t_path[-1, 1, 0]
+        phi_static = -static.t_path[0, 1, 0]
+        phi_late = -dynamic.t_path[-1, 1, 0]
         assert abs(phi_static - phi_late) < 0.05
         # constant-T contract: every step carries the same matrix
-        assert np.ptp(static.cholesky.t_path, axis=0).max() == 0.0
+        assert np.ptp(static.t_path, axis=0).max() == 0.0
 
     def test_p1_matches_scgarch(self):
         panel = iid_panel(400, [1.5], seed=14)
@@ -454,7 +478,7 @@ class TestOrdering:
         final = fit_model(panel, model_name, config, chosen)
         assert path_sum == final.total_loglik == result.total_loglik
         np.testing.assert_array_equal(result.cov_path.sigmas, final.cov_path.sigmas)
-        np.testing.assert_array_equal(result.cholesky.t_path, final.cholesky.t_path)
+        np.testing.assert_array_equal(result.t_path, final.t_path)
         np.testing.assert_array_equal(result.innovations, final.innovations)
         for got, want in zip(result.garch_fits, final.garch_fits, strict=True):
             np.testing.assert_array_equal(got.sigma2_path, want.sigma2_path)
@@ -481,15 +505,6 @@ class TestOrdering:
 
 
 class TestContainers:
-    def test_cholesky_path_validation(self):
-        t = np.broadcast_to(np.eye(2), (5, 2, 2)).copy()
-        with pytest.raises(Exception):
-            CholeskyPath(t, np.zeros((5, 2)))  # d not positive
-        t_bad = t.copy()
-        t_bad[0, 0, 1] = 0.5
-        with pytest.raises(DimensionMismatch):
-            CholeskyPath(t_bad, np.ones((5, 2)))
-
     def test_covariance_path_correlations(self):
         sig = np.array([[[4.0, 2.0], [2.0, 9.0]]])
         corr = CovariancePath(sig).correlations()
