@@ -19,8 +19,8 @@ precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
 the scgarch regressions of one set size in one batched Kalman pass, and
 ``_assemble`` builds the fit of an ordering from its p pairs.
 ``fit_model`` fits the pairs of one ordering; the search fits the pairs
-of all its candidates and assembles the one it picks, so a searched fit
-runs the pipeline once.
+of its candidates and assembles the best ordering they allow
+(``_best_ordering``), so a searched fit runs the pipeline once.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .kalman import _best_candidate, _checked_grid, _gain_filter
 from .kalman import filter_regression, tune_state_noise  # noqa: F401
 from .mcd import mcd_decompose, mcd_reconstruct
 
-# Floor applied to the regression-residual variance so degenerate
-# (near-collinear) columns do not produce a zero measurement variance.
+# Floor on the regression-residual variance, relative to the column's mean
+# square, so degenerate (near-collinear) columns do not produce a zero
+# measurement variance and a fit does not depend on the data's units.
 _MEAS_VAR_FLOOR = 1e-12
 
 
@@ -183,7 +184,8 @@ def _ols_residual_variance(y: np.ndarray, x: np.ndarray) -> float:
     phi = np.linalg.lstsq(x, y, rcond=None)[0]
     resid = y - x @ phi
     mv = float(np.mean(resid * resid))
-    return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), _MEAS_VAR_FLOOR)
+    # ``tiny`` keeps an all-zero column's variance positive.
+    return max(mv, _MEAS_VAR_FLOOR * float(np.mean(y * y)), np.finfo(float).tiny)
 
 
 def _fit_garch_column(eps: np.ndarray, series: int) -> GarchFit:
@@ -372,27 +374,26 @@ DEFAULT_EXHAUSTIVE_LIMIT = 8
 DEFAULT_ORDERING_SAMPLES = 200
 
 
-def _best_ordering(p: int, score) -> tuple[int, ...]:
-    """Ordering of 0..p-1 maximizing ``sum_k score(o[k], set(o[:k]))``.
+def _best_ordering(p: int, scores: dict) -> tuple[int, ...]:
+    """Ordering of 0..p-1 maximizing ``sum_k scores[(o[k], set(o[:k]))]``
+    among the orderings whose p pairs are all in ``scores`` (at least one).
 
     Dynamic programming over predecessor sets (the order-DP of exact
-    Bayesian-network structure learning): ``g(S) = max over j not in S of
-    score(j, S) + g(S | {j})`` with ``g(all) = 0``, which calls ``score``
-    once for each of the p * 2**(p-1) pairs (j, S).  The ordering is
-    rebuilt forward from the empty set taking, at each step, the smallest
-    j whose value equals the maximum exactly, so among orderings with
-    exactly equal totals the lexicographically smallest is returned.
+    Bayesian-network structure learning): ``g(S) = max over j of
+    scores[(j, S)] + g(S | {j})`` with ``g(all) = 0``, over the pairs in
+    ``scores``, larger sets first.  The ordering is rebuilt forward from
+    the empty set taking, at each step, the smallest j whose value equals
+    the maximum exactly, so among orderings with exactly equal totals the
+    lexicographically smallest is returned.
     """
     full = frozenset(range(p))
     g = {full: 0.0}
     choice = {}
-    for size in range(p - 1, -1, -1):
-        for placed in itertools.combinations(range(p), size):
-            placed = frozenset(placed)
-            for j in sorted(full - placed):
-                value = score(j, placed) + g[placed | {j}]
-                if placed not in choice or value > g[placed]:
-                    g[placed], choice[placed] = value, j
+    for j, placed in sorted(scores, key=lambda pair: (-len(pair[1]), pair[0])):
+        if placed | {j} in g:
+            value = scores[(j, placed)] + g[placed | {j}]
+            if placed not in choice or value > g[placed]:
+                g[placed], choice[placed] = value, j
     ordering, placed = [], frozenset()
     while placed != full:
         ordering.append(choice[placed])
@@ -410,20 +411,20 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     All candidate orderings share the same parameter count, so the ranking
     reduces to total log-likelihood; BIC is still the reported criterion.
     A series' log-likelihood depends only on the set of its predecessors,
-    so both modes score columns through one cache of (series, set) fits.
-    Exhaustive mode finds the best of all p! orderings by dynamic
-    programming over predecessor sets (``_best_ordering``), at a cost of
-    p * 2**(p-1) column fits (1,024 at the default limit p = 8), and
-    refuses p above ``exhaustive_limit``; sampled mode scores
-    ``n_samples`` (at least 1) uniformly drawn permutations (seeded).
-    Either mode fits the (series, set) pairs it needs with one
-    ``_fit_columns`` call.  Ties break toward the lexicographically
-    smallest permutation.
+    so either mode fits (series, set) pairs with one ``_fit_columns`` call
+    and ``_best_ordering`` picks the best ordering they allow.  Exhaustive
+    mode fits all p * 2**(p-1) pairs (1,024 at the default limit p = 8),
+    so it finds the best of all p! orderings, and refuses p above
+    ``exhaustive_limit``; sampled mode fits the pairs of ``n_samples`` (at
+    least 1) uniformly drawn permutations (seeded), and its pick, which may
+    combine pairs of several draws, is never worse than the best draw.
+    Ties break toward the lexicographically smallest permutation.
 
     Returns the fit in the chosen ``result.ordering``, assembled from the
     search's column fits: bit for bit the fit ``fit_model`` makes in that
     ordering.
     """
+    _check(panel, model)
     config = config or ScgarchConfig()
     p = panel.p
     if mode == "exhaustive":
@@ -432,27 +433,17 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                 f"p={p} exceeds the exhaustive limit {exhaustive_limit}; "
                 "use sampled mode"
             )
-    elif mode != "sampled":
-        raise ValueError(f"unknown ordering mode {mode!r}")
-    elif n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    _check(panel, model)
-    if mode == "exhaustive":
         pairs = [(j, frozenset(s)) for size in range(p)
                  for s in itertools.combinations(range(p), size)
                  for j in range(p) if j not in s]
-        fitted = _fit_columns(panel.values, model, config, pairs)
-        perm = _best_ordering(p, lambda j, s: fitted[(j, s)][2].loglik)
-    else:
+    elif mode == "sampled":
+        if n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {n_samples}")
         rng = np.random.default_rng(seed)
-        candidates = sorted({tuple(rng.permutation(p).tolist())
-                             for _ in range(n_samples)})
-        paths = [_ordering_pairs(perm) for perm in candidates]
-        fitted = _fit_columns(panel.values, model, config,
-                              [pair for path in paths for pair in path])
-        bics = [bic(sum(fitted[pair][2].loglik for pair in path), panel.n, p)
-                for path in paths]
-        # The candidates are sorted and distinct, so an exact tie in BIC
-        # goes to the lexicographically smallest.
-        perm = min(zip(bics, candidates))[1]
+        pairs = [pair for _ in range(n_samples)
+                 for pair in _ordering_pairs(rng.permutation(p).tolist())]
+    else:
+        raise ValueError(f"unknown ordering mode {mode!r}")
+    fitted = _fit_columns(panel.values, model, config, pairs)
+    perm = _best_ordering(p, {pair: fit[2].loglik for pair, fit in fitted.items()})
     return _assemble(panel, model, perm, fitted)

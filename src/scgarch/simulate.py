@@ -91,8 +91,8 @@ def generate_sim2(cfg: Sim2Config) -> Sim2Data:
 
     Every matrix in the path is checked for positive definiteness; any
     failure (not expected for the default configuration) is repaired by
-    shifting the diagonal just past the most negative eigenvalue, and the
-    number of repairs is reported.
+    shifting the diagonal past the most negative eigenvalue and the PD
+    floor it is checked against, and the number of repairs is reported.
     """
     n = cfg.n
     sigmas = sim2_sigma(np.arange(1, n + 1, dtype=float), cfg)
@@ -101,7 +101,7 @@ def generate_sim2(cfg: Sim2Config) -> Sim2Data:
     floor = PD_RTOL * max(cfg.diag)
     bad = np.flatnonzero(lam_min <= floor)
     for idx in bad:
-        shift = abs(lam_min[idx]) + 1e-8
+        shift = abs(lam_min[idx]) + max(1e-8, 2 * floor)
         sigmas[idx] += shift * np.eye(3)
     if bad.size and np.any(np.linalg.eigvalsh(sigmas[bad])[:, 0] <= floor):
         raise NotPositiveDefinite("covariance path not repairable")

@@ -17,6 +17,7 @@ from scgarch.experiments import (
     run_sim1_bias,
 )
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
+from scgarch.mcd import is_positive_definite
 from scgarch.model import CovariancePath, ScgarchConfig, TimeSeriesPanel, fit_model
 from scgarch.simulate import Sim1Config, Sim2Config
 
@@ -94,6 +95,12 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run("simulate", "sim2", "--seed", -1, "--out-dir", tmp_path)
         assert exc.value.code == 2
+
+    def test_sim2_repairs_a_large_diagonal(self, tmp_path):
+        assert run("simulate", "sim2", "--n", 256, "--diag", 100000, 100000, 0.000001,
+                   "--out-dir", tmp_path) == 0
+        truth = io.read_cov_path(tmp_path / "truth_cov.csv")
+        assert all(is_positive_definite(sigma) for sigma in truth.sigmas)
 
     def test_identical_seed_gives_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -480,6 +487,13 @@ class TestExperimentJobs:
             run_sim1_bias(Sim1BiasConfig(sizes=(20,), replications=2), jobs=jobs)
         with pytest.raises(ValueError, match="jobs"):
             run_benchmark(BenchmarkConfig(replications=1, n=128), jobs=jobs)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_worker_processes_match_this_process(self):
+        bench = BenchmarkConfig(replications=2, n=128)
+        assert run_benchmark(bench, jobs=2) == run_benchmark(bench, jobs=1)
+        sim1 = Sim1BiasConfig(sizes=(20, 40), replications=32)
+        assert run_sim1_bias(sim1, jobs=2) == run_sim1_bias(sim1, jobs=1)
 
 
 @pytest.mark.parametrize("settings", [dict(replications=0), dict(sizes=()),

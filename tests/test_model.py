@@ -73,6 +73,17 @@ def all_pairs(p):
             for j in range(p) if j not in s]
 
 
+def drawn_permutations(p, n_samples, seed):
+    """The permutations sampled-mode ``order_by_bic`` draws."""
+    rng = np.random.default_rng(seed)
+    return [tuple(rng.permutation(p).tolist()) for _ in range(n_samples)]
+
+
+def drawn_pairs(p, n_samples, seed):
+    return {pair for perm in drawn_permutations(p, n_samples, seed)
+            for pair in model._ordering_pairs(perm)}
+
+
 def oracle_column(panel, j, preds, config):
     """Column j on the columns ``preds`` (in that order), one regression at
     a time through the public Kalman functions: the state noise from
@@ -273,6 +284,17 @@ class TestFitScgarch:
         if stage == "garch":
             assert isinstance(exc.value.cause, DegenerateSeries)
 
+    @pytest.mark.parametrize("config", [ScgarchConfig(), replace(TUNED, two_pass=True)],
+                             ids=["fixed", "tuned-two-pass"])
+    @pytest.mark.parametrize("scale", [2.0 ** -30, 2.0 ** 30], ids=["2^-30", "2^30"])
+    def test_fit_does_not_depend_on_the_data_units(self, config, scale):
+        # Scaling by a power of two is exact, so every floor that moves with
+        # the data keeps the fitted path exactly proportional.
+        panel = generate_sim2(Sim2Config(n=256, seed=0)).panel
+        base = fit_model(panel, "scgarch", config).cov_path.sigmas
+        scaled = fit_model(TimeSeriesPanel(scale * panel.values), "scgarch", config)
+        np.testing.assert_array_equal(scaled.cov_path.sigmas, scale ** 2 * base)
+
     def test_rejects_short_panel(self):
         with pytest.raises(DimensionMismatch):
             fit_model(iid_panel(30, [1.0, 1.0], seed=0), "scgarch")
@@ -428,12 +450,17 @@ class TestOrdering:
         assert order_by_bic(panel, config).ordering == min(zip(bics, candidates))[1]
 
     # p = 4: p * 2**(p-1) = 32 (column, predecessor set) pairs, 28 of them
-    # with predecessors, which the second pass re-filters and refits
-    @pytest.mark.parametrize("model_name, two_pass, expected", [
-        ("scgarch", False, 32), ("cgarch", False, 32), ("scgarch", True, 32 + 28),
+    # with predecessors, which the second pass re-filters and refits; five
+    # sampled draws fit only their distinct pairs
+    @pytest.mark.parametrize("model_name, two_pass, mode, expected", [
+        pytest.param("scgarch", False, "exhaustive", 32, id="scgarch-False-32"),
+        pytest.param("cgarch", False, "exhaustive", 32, id="cgarch-False-32"),
+        pytest.param("scgarch", True, "exhaustive", 32 + 28, id="scgarch-True-60"),
+        pytest.param("scgarch", False, "sampled", len(drawn_pairs(4, 5, seed=2)),
+                     id="scgarch-sampled"),
     ])
     def test_search_fits_each_column_set_once(self, monkeypatch, model_name,
-                                              two_pass, expected):
+                                              two_pass, mode, expected):
         calls = []
 
         def counting_fit(eps):
@@ -442,7 +469,8 @@ class TestOrdering:
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
         panel = mixed_garch_panel(100, 4, seed=1)
-        order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name)
+        order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name,
+                     mode=mode, n_samples=5, seed=2)
         assert len(calls) == expected
 
     @pytest.mark.parametrize("config", [
@@ -483,6 +511,30 @@ class TestOrdering:
         for got, want in zip(result.garch_fits, final.garch_fits, strict=True):
             np.testing.assert_array_equal(got.sigma2_path, want.sigma2_path)
 
+    @pytest.mark.parametrize("p, n_samples", [(4, 4), (5, 6)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sampled_mode_picks_the_best_ordering_its_pairs_allow(self, p, n_samples,
+                                                                  seed):
+        panel = mixed_garch_panel(150, p, seed=seed)
+        drawn = drawn_pairs(p, n_samples, seed)
+        fitted = model._fit_columns(panel.values, "scgarch", ScgarchConfig(), all_pairs(p))
+        totals = {perm: sum(fitted[pair][2].loglik for pair in model._ordering_pairs(perm))
+                  for perm in itertools.permutations(range(p))
+                  if set(model._ordering_pairs(perm)) <= drawn}
+        top = sorted(totals.values())
+        assert len(top) > 1 and top[-1] - top[-2] > 1e-6  # the argmax is well defined
+        result = order_by_bic(panel, mode="sampled", n_samples=n_samples, seed=seed)
+        assert result.ordering == max(totals, key=totals.get)
+        assert result.total_loglik == pytest.approx(top[-1], rel=1e-12)
+
+    def test_sampled_mode_can_beat_every_drawn_permutation(self):
+        # The best ordering the four draws' pairs allow is none of the draws.
+        panel = mixed_garch_panel(150, 4, seed=0)
+        result = order_by_bic(panel, mode="sampled", n_samples=4, seed=0)
+        for perm in drawn_permutations(4, 4, seed=0):
+            assert fit_model(panel, "scgarch", ScgarchConfig(), perm).total_loglik \
+                < result.total_loglik - 1.0
+
     def test_sampled_mode_needs_a_sample(self):
         with pytest.raises(ValueError):
             order_by_bic(causal_chain_panel(200, seed=3), mode="sampled", n_samples=0)
@@ -491,8 +543,9 @@ class TestOrdering:
         # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower
         table = {(1, frozenset()): 2.0, (2, frozenset()): 2.0,
                  (0, frozenset({1})): 3.0, (0, frozenset({2})): 3.0}
-        assert _best_ordering(3, lambda j, s: table.get((j, s), 0.0)) == (1, 0, 2)
-        assert _best_ordering(3, lambda j, s: 0.0) == (0, 1, 2)
+        assert _best_ordering(3, {pair: table.get(pair, 0.0)
+                                  for pair in all_pairs(3)}) == (1, 0, 2)
+        assert _best_ordering(3, dict.fromkeys(all_pairs(3), 0.0)) == (0, 1, 2)
 
     def test_cgarch_search_keeps_static_pd_check(self):
         col = np.random.default_rng(4).standard_normal(100)

@@ -3,6 +3,7 @@ import pytest
 
 from scgarch.evaluation import loss_paths, moving_block_proxy
 from scgarch.kalman import KalmanConfig, filter_regression
+from scgarch.mcd import is_positive_definite
 from scgarch.simulate import (
     Sim1Config,
     Sim2Config,
@@ -57,6 +58,12 @@ class TestSim2:
         b = generate_sim2(Sim2Config(seed=9))
         np.testing.assert_array_equal(a.panel.values, b.panel.values)
         np.testing.assert_array_equal(a.truth.sigmas, b.truth.sigmas)
+
+    @pytest.mark.parametrize("diag", [(1e5, 1e5, 1e-6), (1e4, 1e4, 1e-6)])
+    def test_repair_clears_the_pd_floor_at_any_scale(self, diag):
+        data = generate_sim2(Sim2Config(n=256, diag=diag))
+        assert data.repairs > 0
+        assert all(is_positive_definite(sigma) for sigma in data.truth.sigmas)
 
     def test_proxy_tracks_truth_correlations(self):
         data = generate_sim2(Sim2Config(seed=0))
