@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 
@@ -105,6 +105,27 @@ def _lagged(x: np.ndarray, first: float) -> np.ndarray:
     return lag
 
 
+def _ar1(x: np.ndarray, beta: float, first: float = 0.0) -> np.ndarray:
+    """Run y[t] = x[t] + beta * y[t-1], with y[-1] = ``first``, along the
+    last axis of the C-contiguous ``x`` (one or more rows), in place.
+
+    This is a solve with the unit lower bidiagonal matrix that has -beta
+    below its diagonal: one LAPACK ``dtbtrs`` call solves every row, and
+    ``x.T`` is the Fortran-ordered right-hand side it overwrites.  Returns
+    ``x``.
+    """
+    n = x.shape[-1]
+    band = np.empty((2, n), order="F")  # row 0, the unit diagonal, is not read
+    band[1] = -beta
+    if first:
+        x[..., 0] += beta * first
+    rhs = x.reshape(-1, n).T
+    out, info = dtbtrs(band, rhs, uplo="L", diag="U", overwrite_b=1)
+    if info != 0 or out is not rhs or not x.flags.c_contiguous:
+        raise np.linalg.LinAlgError(f"dtbtrs did not solve in place (info {info})")
+    return x
+
+
 def garch_filter(params: GarchParams, eps, sigma2_init: float) -> np.ndarray:
     """Run the variance recursion over an innovation series.
 
@@ -118,10 +139,8 @@ def garch_filter(params: GarchParams, eps, sigma2_init: float) -> np.ndarray:
     if not (np.isfinite(sigma2_init) and sigma2_init > 0):
         raise InvalidParameters(f"sigma2_init must be finite and > 0, got {sigma2_init}")
     sigma2_init = float(sigma2_init)
-    beta = params.beta[0]
-    driver = params.omega + params.alpha[0] * _lagged(eps * eps, sigma2_init)
-    s2, _ = lfilter([1.0], [1.0, -beta], driver, zi=[beta * sigma2_init])
-    return s2
+    s2 = params.omega + params.alpha[0] * _lagged(eps * eps, sigma2_init)
+    return _ar1(s2, params.beta[0], sigma2_init)
 
 
 def garch_loglik(params: GarchParams, eps, sigma2_init: float) -> float:
@@ -139,7 +158,7 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init):
 
     The sensitivity paths ds2/d(omega, alpha, beta) follow the variance
     recursion's AR(1) filter driven by 1, eps[t-1]**2 and s2[t-1], so one
-    2-D ``lfilter`` call gives all three.  With u = ds2 / s2 and
+    ``_ar1`` solve gives all three.  With u = ds2 / s2 and
     r = 1 - e2 / s2, the gradient is u @ r and the information is u @ u.T,
     the expected Hessian.  The Hessian adds the observed curvature: s2 is
     linear in omega and alpha, and its second derivatives in beta follow
@@ -147,9 +166,8 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init):
     ``(inf, None, None, None)`` where the path is not finite and positive.
     """
     omega, alpha, beta = theta
-    ar = [1.0, -beta]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s2, _ = lfilter([1.0], ar, omega + alpha * e2_lag, zi=[beta * sigma2_init])
+        s2 = _ar1(omega + alpha * e2_lag, beta, sigma2_init)
         inv = 1.0 / s2
         q = e2 * inv
         # a zero, negative or infinite s2 makes f nan or inf
@@ -161,15 +179,18 @@ def _nll_and_derivatives(theta, e2, e2_lag, sigma2_init):
         drivers[1] = e2_lag
         drivers[2, 0] = sigma2_init
         drivers[2, 1:] = s2[:-1]
-        ds2 = lfilter([1.0], ar, drivers, axis=1)
+        ds2 = _ar1(drivers, beta)
         u = ds2 * inv
         r = 1.0 - q
         grad = u @ r
         info = u @ u.T
-        drivers[:, 0] = 0.0
-        drivers[:, 1:] = ds2[:, :-1]
-        drivers[2] *= 2.0
-        cross = (lfilter([1.0], ar, drivers, axis=1) * inv) @ r
+        # ds2 holds the drivers' solution, so the lagged paths need a
+        # buffer of their own
+        d2s2 = np.empty_like(ds2)
+        d2s2[:, 0] = 0.0
+        d2s2[:, 1:] = ds2[:, :-1]
+        d2s2[2] *= 2.0
+        cross = (_ar1(d2s2, beta) * inv) @ r
         hess = (u * (1.0 - 2.0 * r)) @ u.T
         hess[2] += cross
         hess[:, 2] += cross
@@ -367,16 +388,18 @@ def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
 
     At a fixed beta, s2[t] = omega * c[t] + alpha * h[t] + beta**(t+1) *
     sigma2_init, with c[t] = (1 - beta**(t+1)) / (1 - beta) and h the
-    AR(1) filter of the lagged squares.  All rows take ``_GRID_STEPS``
-    Fisher-scoring steps at once; a step that would take alpha past 0 or
-    1 - STATIONARITY_MARGIN - beta stops it there, and omega takes the
-    best step of the quadratic model at that alpha.
+    lagged squares run through ``_ar1``; one solve per grid row gives
+    both.  All rows take ``_GRID_STEPS`` Fisher-scoring steps at once; a
+    step that would take alpha past 0 or 1 - STATIONARITY_MARGIN - beta
+    stops it there, and omega takes the best step of the quadratic model
+    at that alpha.
     """
     betas = _GRID_BETAS
-    drivers = np.stack([np.ones_like(e2), e2_lag])
-    paths = np.empty((betas.shape[0], *drivers.shape))
+    paths = np.empty((betas.shape[0], 2, e2.shape[0]))
+    paths[:, 0] = 1.0
+    paths[:, 1] = e2_lag
     for path, beta in zip(paths, betas):
-        path[:] = lfilter([1.0], [1.0, -beta], drivers, axis=1)
+        _ar1(path, beta)
     # beta**(t+1) = 1 - (1 - beta) * c[t]: the presample term shifts omega
     shift = np.column_stack([(1.0 - betas) * sigma2_init, np.zeros_like(betas)])
     top = (1.0 - STATIONARITY_MARGIN) - betas

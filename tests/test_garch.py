@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from scgarch import garch
 from scgarch.exceptions import DegenerateSeries, InvalidParameters, SeriesTooShort
 from scgarch.garch import (
+    _GRID_BETAS,
     STATIONARITY_MARGIN,
     GarchParams,
+    _ar1,
     _nll_and_derivatives,
     garch_filter,
     garch_fit,
@@ -71,6 +75,50 @@ class TestFilter:
     def test_rejects_bad_init(self):
         with pytest.raises(InvalidParameters):
             garch_filter(GarchParams(0.1, 0.1, 0.8), np.ones(3), 0.0)
+
+
+def _loop_ar1(x, beta, first=0.0):
+    y = np.empty_like(x)
+    prev = np.full(x.shape[:-1], first)
+    for t in range(x.shape[-1]):
+        prev = x[..., t] + beta * prev
+        y[..., t] = prev
+    return y
+
+
+class TestAr1:
+    # The LAPACK solve may round each step once where this loop rounds
+    # twice, and its bits depend on the BLAS kernel the CPU selects, so
+    # the tolerance is relative.
+    BETAS = np.unique(np.r_[0.0, _GRID_BETAS, 1.0 - 1e-6])
+
+    @pytest.mark.parametrize("n", [1, 2, 2048])
+    @pytest.mark.parametrize("rows", [None, 2, 3])
+    def test_matches_loop_in_callers_buffer(self, n, rows):
+        rng = np.random.default_rng(n)
+        first = 1.7 if rows is None else 0.0
+        for beta in self.BETAS:
+            x = rng.uniform(0.5, 2.0, n if rows is None else (rows, n))
+            buf = x.copy()
+            assert _ar1(buf, beta, first) is buf
+            np.testing.assert_allclose(buf, _loop_ar1(x, beta, first), rtol=1e-13,
+                                       err_msg=f"beta = {beta}")
+
+    def test_presample_term_reaches_every_step(self):
+        np.testing.assert_array_equal(_ar1(np.zeros(3), 0.5, 8.0), [4.0, 2.0, 1.0])
+
+    def test_view_that_cannot_be_solved_in_place_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _ar1(np.ones((4, 3)).T, 0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            _ar1(np.ones(8)[::2], 0.5)
+
+    def test_overflowing_driver_propagates_without_warning(self):
+        x = np.array([1.0, 1e308, 1e308, 1.0])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            _ar1(x, 0.9)
+        assert np.isfinite(x[:2]).all() and np.isposinf(x[2:]).all()
 
 
 @settings(max_examples=80, deadline=None)
