@@ -8,9 +8,11 @@ state-noise candidates it searched in place of ``kalman_q``, and
 ``simulate`` echoes only the options of the kind it generates.  Options
 can also be supplied in a key=value config file via ``--config``;
 explicit flags win over the file, which wins over built-in defaults, and
-a required option the file sets counts as given.  A command makes its
-output directory only once it has its results: a rejected run leaves
-none.
+a required option the file sets counts as given.  A ``config.echo`` is
+such a file: the command with the same positional arguments and
+``--config <old dir>/config.echo --out-dir <new dir>`` writes the same
+outputs again.  A command makes its output directory only once it has
+its results: a rejected run leaves none.
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 benchmark with every replication failed.
@@ -60,15 +62,19 @@ EXIT_BENCHMARK_FAILED = 4
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand parser that records its options, for ``--config``."""
+    """A subcommand parser that records its options and the names of its
+    positional arguments, for ``--config``."""
 
     def __init__(self, *args, **kwargs):
         self.options = {}
+        self.positionals = set()
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.option_strings and action.dest not in ("help", "config"):
+        if not action.option_strings:
+            self.positionals.add(action.dest)
+        elif action.dest not in ("help", "config"):
             self.options[action.dest] = action
         return action
 
@@ -349,39 +355,69 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _option_value(action, raw: str):
+    """The value of one option from its text in a config file."""
+    if raw == "None" and action.default is None:
+        return None
+    if action.nargs == 0:
+        return _parse_bool(raw)
+    convert = action.type or str
+    if action.nargs in ("+", "*") or isinstance(action.nargs, int):
+        value = [convert(tok) for tok in raw.split()]
+        if isinstance(action.nargs, int) and len(value) != action.nargs:
+            raise ValueError(f"expected {action.nargs} values, got {len(value)}")
+        return value
+    value = convert(raw)
+    if action.choices and value not in action.choices:
+        raise ValueError(f"'{value}' not in {action.choices}")
+    return value
+
+
+def _tuning(sub: _Subcommand, raw: str) -> dict:
+    """The settings that make the command search the echoed state-noise
+    candidates ``raw``, which must be the CLI's tuning grid."""
+    if tuple(float(tok) for tok in raw.split()) != DEFAULT_TUNE_GRID:
+        raise ValueError("expected the tuning grid "
+                         + " ".join(map(io.fmt, DEFAULT_TUNE_GRID)))
+    if "tune_state_noise" in sub.options:
+        return {"tune_state_noise": True}
+    return {"kalman_q": None}
+
+
 def load_config_overrides(path, sub: _Subcommand) -> dict:
-    """Parse a key=value file into argparse defaults for one subcommand."""
+    """Parse a key=value file into argparse defaults for one subcommand.
+
+    A line whose first character other than a space is ``#`` is a comment;
+    elsewhere ``#`` is part of the value.  A ``config.echo`` loads back:
+    its ``config`` line and the positional arguments, which the command
+    line gives, are skipped, ``None`` restores an option whose default is
+    None, and a tuned run's ``state_noise`` line turns tuning on.
+    """
     overrides = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(lines, 1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
         if "=" not in text:
             raise ValueError(f"{path}, line {lineno}: expected key=value")
         key, raw = (part.strip() for part in text.split("=", 1))
         dest = key.replace("-", "_")
-        if dest not in sub.options:
+        if dest == "config" or dest in sub.positionals:
+            continue
+        tuning = dest == "state_noise" and "kalman_q" in sub.options
+        if not tuning and dest not in sub.options:
             raise ValueError(f"{path}, line {lineno}: unknown option '{key}'")
-        action = sub.options[dest]
-        convert = action.type or str
         try:
-            if action.nargs == 0:
-                value = _parse_bool(raw)
-            elif action.nargs in ("+", "*") or isinstance(action.nargs, int):
-                value = [convert(tok) for tok in raw.split()]
-                if isinstance(action.nargs, int) and len(value) != action.nargs:
-                    raise ValueError(f"expected {action.nargs} values, got {len(value)}")
+            if tuning:
+                overrides.update(_tuning(sub, raw))
             else:
-                value = convert(raw)
-                if action.choices and value not in action.choices:
-                    raise ValueError(f"'{value}' not in {action.choices}")
+                overrides[dest] = _option_value(sub.options[dest], raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}, line {lineno}: option '{key}': {exc}")
-        overrides[dest] = value
     return overrides
 
 

@@ -10,7 +10,9 @@ its own data, Q and measurement-variance path.  ``filter_regression`` is
 a batch of one, and ``tune_state_noise`` filters a whole grid of
 state-noise candidates in one pass.  The model's column fit calls the
 kernel directly: all the regressions of one predecessor-set size at
-every candidate in one pass, keeping coefficient paths but, unlike
+every candidate in one pass, the one-predecessor regressions zero-padded
+into the two-predecessor pass (padding one regressor is exact, see
+``_gain_filter``), keeping coefficient paths but, unlike
 ``filter_regression``, no covariance paths.
 """
 
@@ -142,6 +144,17 @@ def _gain_filter(y, x_panel, phi0, p0, q, meas_var, keep_phi=False, keep_p=False
     Every product is taken per batch element over C-contiguous regressor
     rows, so an element's result, to the last bit, depends neither on the
     batch it is filtered in nor on the memory layout of ``x_panel``.
+
+    A one-regressor element padded with zero regressors to any width d
+    (zero prior mean, diagonal ``p0`` and ``q``) filters exactly as it
+    does at d = 1: its first coefficient and covariance entry, its
+    innovations and its log-likelihood keep their bits.  Each contraction
+    (``P x``, ``x' u``, ``x' phi``) then has one nonzero product, its other
+    terms being exact zeros, so no summation order or fused multiply-add
+    can round it differently, and the padded coefficients and off-diagonal
+    covariance entries stay 0 while every ``e / s`` is finite.  Two or more
+    regressors do not pad exactly: a BLAS product may sum their terms in
+    another order.
     """
     x_panel = np.ascontiguousarray(x_panel)
     n, _, d = x_panel.shape

@@ -16,8 +16,9 @@ its fit.
 
 A column's innovations and GARCH fit depend only on which variables
 precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
-the scgarch regressions of one set size in one batched Kalman pass, and
-``_assemble`` builds the fit of an ordering from its p pairs.
+the scgarch regressions of one set size in one batched Kalman pass (those
+of sets of one in the pass of sets of two), and ``_assemble`` builds the
+fit of an ordering from its p pairs.
 ``fit_model`` fits the pairs of one ordering; the search fits the pairs
 of its candidates and assembles the best ordering they allow
 (``_best_ordering``), so a searched fit runs the pipeline once.
@@ -227,18 +228,24 @@ def _fit_columns(y: np.ndarray, model: str, config: ScgarchConfig, pairs
     predecessors (isotropic prior and state noise, order-free OLS
     measurement variance, set-determined static regression), so each
     distinct pair is fitted once.  The scgarch regressions of one set size
-    are filtered together (``_regression_columns``); a cgarch row is the
-    last row of the modified Cholesky factor of the full-sample second
+    are filtered together (``_regression_columns``), those of sets of one
+    with those of sets of two when there are both: padding one regressor
+    changes no bit (see ``kalman._gain_filter``), so a p = 3 fit makes one
+    Kalman pass.  Padding larger sets would change last bits and multiply
+    the work of a wide search, so each keeps its own pass.  A cgarch row is
+    the last row of the modified Cholesky factor of the full-sample second
     moment of the block (``_static_column``).  A failure names column
     j + 1.
     """
-    by_size: dict[int, list] = {}
+    batches: dict[int, list] = {}
     for pair in dict.fromkeys(pairs):
-        by_size.setdefault(len(pair[1]), []).append(pair)
+        batches.setdefault(len(pair[1]), []).append(pair)
+    if model == "scgarch" and 1 in batches and 2 in batches:
+        batches[2] = batches.pop(1) + batches[2]
     with np.errstate(over="ignore"):  # an overflow fails the static MCD check
         second_moment = (y.T @ y) / y.shape[0] if model == "cgarch" else None
     fitted = {}
-    for size, group in sorted(by_size.items()):
+    for size, group in sorted(batches.items()):
         if size == 0:
             columns = [(None, y[:, j], _fit_garch_column(y[:, j], j + 1))
                        for j, _ in group]
@@ -264,10 +271,13 @@ def _static_column(y, second_moment, j: int, preds: frozenset):
 
 
 def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tuple]:
-    """Scgarch fits of (j, preds) pairs that share one set size.
+    """Scgarch fits of (j, preds) pairs filtered in one batch.
 
     Prior N(0, kappa * I); measurement variance the full-sample OLS
-    residual variance of column j on its predecessors.  One kernel pass
+    residual variance of column j on its predecessors.  Each pair's
+    regressors are padded with zero columns to the widest set in the
+    batch, and its coefficient path is cut back to its own set; the batch
+    mixes only sets of one and two, whose padding is exact.  One kernel pass
     filters every pair at every candidate of ``config.state_noise``
     (B = pairs x candidates); each pair keeps its best candidate by the
     rule of ``tune_state_noise``, the only one when there is one.  With
@@ -278,7 +288,7 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
     """
     targets = [j for j, _ in pairs]
     preds = [sorted(s) for _, s in pairs]
-    eye = np.eye(len(preds[0]))
+    eye = np.eye(max(map(len, preds)))
     grid = config.state_noise
 
     # A pair whose every candidate overflows has no best candidate below.
@@ -290,7 +300,9 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
 
     n, g = y.shape[0], len(grid)
     yb = y[:, targets]
-    xb = np.stack([y[:, idx] for idx in preds], axis=1)
+    xb = np.zeros((n, len(pairs), len(eye)))
+    for i, idx in enumerate(preds):
+        xb[:, i, :len(idx)] = y[:, idx]
     meas_var = np.broadcast_to(
         [_ols_residual_variance(y[:, j], y[:, idx]) for j, idx in zip(targets, preds)],
         (n, len(pairs)))
@@ -318,7 +330,8 @@ def _regression_columns(y: np.ndarray, pairs, config: ScgarchConfig) -> list[tup
                 for i, j in enumerate(targets)]
     else:
         phi_path = phi_path[:, chosen]
-    return list(zip(phi_path.transpose(1, 0, 2), innovations.T, fits))
+    return [(phi_path[:, i, :len(idx)], innovations[:, i], fit)
+            for i, (idx, fit) in enumerate(zip(preds, fits))]
 
 
 def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],

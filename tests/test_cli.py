@@ -462,6 +462,87 @@ class TestConfigFile:
         assert f"{cfg}, line 2: option '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("fit", ["--kalman-q", 0.01, "--seed", 3]),
+        ("fit", ["--tune-state-noise", "--two-pass"]),
+        ("evaluate", ["--truth", "truth/truth_cov.csv"]),
+        ("select-block", ["--candidates", 5, 11, 21]),
+        ("simulate", ["--n", 64, "--deltas", 64, 32, 16]),
+    ], ids=["fit-fixed", "fit-tuned", "evaluate-truth", "select-block", "simulate-sim2"])
+    def test_echo_reruns_the_command(self, tmp_path, monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        write_iid_panel(tmp_path / "panel.csv", 400, 2, seed=4)
+        assert run("simulate", "sim2", "--n", 64, "--out-dir", "truth") == 0
+        assert run("simulate", "sim2", "--n", 64, "--seed", 1, "--out-dir", "est") == 0
+        positionals = {"fit": ["panel.csv"], "evaluate": ["est/truth_cov.csv"],
+                       "select-block": ["panel.csv"], "simulate": ["sim2"]}[command]
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(command, *positionals, *flags, "--out-dir", first) == 0
+        echo = first / "config.echo"
+        assert run(command, *positionals, "--config", echo, "--out-dir", again) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            if name != "config.echo":
+                assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+        # The rerun's echo differs only in where it wrote and what it read.
+        def settings(out):
+            return [line for line in (out / "config.echo").read_text().splitlines()
+                    if not line.startswith(("out_dir=", "config="))]
+        assert settings(again) == settings(first)
+        assert f"config={echo}" in (again / "config.echo").read_text().splitlines()
+
+    def test_flags_win_over_an_echo(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run("fit", panel_path, "--kalman-q", 0.01, "--out-dir", first) == 0
+        assert run("fit", panel_path, "--config", first / "config.echo",
+                   "--kalman-q", 0.02, "--out-dir", again) == 0
+        assert "kalman_q=0.02" in (again / "config.echo").read_text().splitlines()
+        assert ((again / "cov_path.csv").read_bytes()
+                != (first / "cov_path.csv").read_bytes())
+
+    def test_misspelt_key_in_an_echo_is_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        first = tmp_path / "first"
+        assert run("fit", panel_path, "--out-dir", first) == 0
+        echo = first / "config.echo"
+        echo.write_text(echo.read_text() + "kalman-qq=0.1\n")
+        again = tmp_path / "again"
+        assert run("fit", panel_path, "--config", echo, "--out-dir", again) == 2
+        assert "unknown option 'kalman-qq'" in capsys.readouterr().err
+        assert not again.exists()
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 1, seed=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"  # a comment line\nout-dir = {tmp_path / 'dir#2'}\n")
+        assert run("fit", panel_path, "--config", cfg) == 0
+        assert (tmp_path / "dir#2" / "cov_path.csv").exists()
+        assert not (tmp_path / "dir").exists()
+
+    @pytest.mark.parametrize("command, expected", [
+        ("fit", {"tune_state_noise": True}), ("benchmark", {"kalman_q": None}),
+    ])
+    def test_echoed_tuning_grid_turns_tuning_on(self, tmp_path, command, expected):
+        grid = " ".join(io.fmt(q) for q in model.DEFAULT_TUNE_GRID)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kalman-q = 0.5\nstate_noise = {grid}\n")
+        sub = cli.build_parser()[1][command]
+        assert cli.load_config_overrides(cfg, sub) == {"kalman_q": 0.5, **expected}
+
+    def test_other_state_noise_grid_is_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("state_noise = 0.001 0.01\n")
+        assert run("fit", panel_path, "--config", cfg, "--out-dir", tmp_path / "o") == 2
+        assert f"{cfg}, line 1: option 'state_noise'" in capsys.readouterr().err
+
 
 class TestExperimentJobs:
     """``jobs`` is bounded to [1, cpu_count] before any worker starts."""

@@ -193,6 +193,40 @@ def test_batched_pass_matches_separate_filters(seed, dim, batch):
     assert means[3] is None
 
 
+@pytest.mark.parametrize("kappa", [10.0, 1e6])
+@pytest.mark.parametrize("q", [0.0, 1e-2])
+def test_one_regressor_pads_exactly(kappa, q):
+    # A one-regressor batch padded with zero regressors filters to the same
+    # bits as at width 1, also where its own regressor is 0.0 or -0.0.
+    rng = np.random.default_rng(11)
+    n, batch = 200, 4
+    y = rng.standard_normal((n, batch))
+    x = rng.standard_normal((n, batch, 1))
+    x[rng.random((n, batch)) < 0.1] = 0.0
+    x[rng.random((n, batch)) < 0.1] = -0.0
+    assert np.any(np.signbit(x) & (x == 0)) and np.any(~np.signbit(x) & (x == 0))
+    meas_var = rng.uniform(0.1, 3.0, (n, batch))
+
+    def run(width):
+        padded = np.zeros((n, batch, width))
+        padded[:, :, :1] = x
+        eye = np.eye(width)
+        return _gain_filter(y, padded, np.zeros(width), kappa * eye,
+                            np.multiply.outer(np.full(batch, q), eye), meas_var,
+                            keep_phi=True, keep_p=True)
+
+    innovations, loglik, phi_path, p_path = run(1)
+    for width in (2, 5):
+        wide = run(width)
+        np.testing.assert_array_equal(wide[0], innovations)
+        np.testing.assert_array_equal(wide[1], loglik)
+        np.testing.assert_array_equal(wide[2][..., :1], phi_path)
+        np.testing.assert_array_equal(wide[3][..., :1, :1], p_path)
+        # The padded coefficients and cross covariances stay exactly 0.
+        assert not np.any(wide[2][..., 1:])
+        assert not np.any(wide[3][..., 0, 1:]) and not np.any(wide[3][..., 1:, 0])
+
+
 class TestFilterRegression:
     def test_two_step_scalar_chain(self):
         # Step t=0 reproduces the hand update (phi-=0, P-=2, x=1, y=2);

@@ -473,6 +473,49 @@ class TestOrdering:
                      mode=mode, n_samples=5, seed=2)
         assert len(calls) == expected
 
+    # One Kalman pass per set size, the one-predecessor regressions padded
+    # into the two-predecessor pass, and as many again with two_pass.
+    @pytest.mark.parametrize("p, mode, two_pass, widths", [
+        (3, "fixed", False, [2]),
+        (3, "fixed", True, [2, 2]),
+        (4, "exhaustive", False, [2, 3]),
+        (4, "exhaustive", True, [2, 2, 3, 3]),
+        (2, "fixed", False, [1]),
+    ])
+    def test_kalman_passes_per_fit(self, monkeypatch, p, mode, two_pass, widths):
+        calls = []
+
+        def counting_filter(y, x_panel, *args, **kwargs):
+            calls.append(x_panel.shape[2])
+            return _gain_filter(y, x_panel, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_gain_filter", counting_filter)
+        panel = mixed_garch_panel(100, p, seed=1)
+        config = replace(TUNED, two_pass=two_pass)
+        if mode == "fixed":
+            fit_model(panel, "scgarch", config)
+        else:
+            order_by_bic(panel, config, mode=mode)
+        assert calls == widths
+
+    @pytest.mark.parametrize("config", [
+        ScgarchConfig(), TUNED, replace(TUNED, two_pass=True),
+    ], ids=["fixed", "tuned", "tuned-two-pass"])
+    def test_padded_one_predecessor_fits_match_unpadded(self, config):
+        # Filtered alone, the one-predecessor pairs make a pass of width 1;
+        # with the two-predecessor pairs they are padded to width 2.
+        panel = mixed_garch_panel(150, 4, seed=3)
+        ones = [pair for pair in all_pairs(4) if len(pair[1]) == 1]
+        alone = model._fit_columns(panel.values, "scgarch", config, ones)
+        padded = model._fit_columns(panel.values, "scgarch", config, all_pairs(4))
+        for pair in ones:
+            (coefs, eps, fit), want = padded[pair], alone[pair]
+            assert coefs.shape == (150, 1)
+            np.testing.assert_array_equal(coefs, want[0])
+            np.testing.assert_array_equal(eps, want[1])
+            np.testing.assert_array_equal(fit.sigma2_path, want[2].sigma2_path)
+            assert fit.loglik == want[2].loglik
+
     @pytest.mark.parametrize("config", [
         ScgarchConfig(), TUNED, replace(TUNED, two_pass=True),
     ], ids=["fixed", "tuned", "tuned-two-pass"])
@@ -485,22 +528,27 @@ class TestOrdering:
             _, _, expected = oracle_column(panel, j, sorted(preds), config)
             assert fitted[(j, preds)][2].loglik == pytest.approx(expected.loglik, rel=1e-12)
 
-    @pytest.mark.parametrize("model_name, config, mode", [
-        ("scgarch", ScgarchConfig(), "exhaustive"),
-        ("scgarch", replace(TUNED, two_pass=True), "exhaustive"),
-        ("cgarch", ScgarchConfig(), "exhaustive"),
-        ("scgarch", TUNED, "sampled"),
-    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch", "scgarch-sampled"])
-    def test_search_pairs_add_up_to_the_final_fit(self, model_name, config, mode):
+    @pytest.mark.parametrize("model_name, config, mode, p", [
+        ("scgarch", ScgarchConfig(), "exhaustive", 4),
+        ("scgarch", replace(TUNED, two_pass=True), "exhaustive", 4),
+        ("cgarch", ScgarchConfig(), "exhaustive", 4),
+        ("scgarch", TUNED, "sampled", 4),
+        ("scgarch", ScgarchConfig(), "exhaustive", 6),
+        ("scgarch", replace(TUNED, two_pass=True), "exhaustive", 6),
+    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch", "scgarch-sampled",
+            "scgarch-fixed-p6", "scgarch-tuned-two-pass-p6"])
+    def test_search_pairs_add_up_to_the_final_fit(self, model_name, config, mode, p):
         # The search and the final fit share one column fit, so the pairs
         # along the chosen ordering add up to the final fit exactly, and
-        # the fit the search returns is the fit of its ordering, bit for bit.
-        panel = mixed_garch_panel(150, 4, seed=6)
-        fitted = model._fit_columns(panel.values, model_name, config, all_pairs(4))
+        # the fit the search returns is the fit of its ordering, bit for bit,
+        # though at p = 6 the search filters up to 90 regressions per pass
+        # and the final fit one or two.
+        panel = mixed_garch_panel(150, p, seed=6)
+        fitted = model._fit_columns(panel.values, model_name, config, all_pairs(p))
         result = order_by_bic(panel, config, model=model_name, mode=mode,
                               n_samples=6, seed=1)
         chosen = result.ordering
-        assert chosen != (0, 1, 2, 3)
+        assert chosen != tuple(range(p))
         path_sum = sum(fitted[(j, frozenset(chosen[:k]))][2].loglik
                        for k, j in enumerate(chosen))
         final = fit_model(panel, model_name, config, chosen)
