@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -373,25 +374,15 @@ def _option_value(action, raw: str):
     return value
 
 
-def _tuning(sub: _Subcommand, raw: str) -> dict:
-    """The settings that make the command search the echoed state-noise
-    candidates ``raw``, which must be the CLI's tuning grid."""
-    if tuple(float(tok) for tok in raw.split()) != DEFAULT_TUNE_GRID:
-        raise ValueError("expected the tuning grid "
-                         + " ".join(map(io.fmt, DEFAULT_TUNE_GRID)))
-    if "tune_state_noise" in sub.options:
-        return {"tune_state_noise": True}
-    return {"kalman_q": None}
-
-
 def load_config_overrides(path, sub: _Subcommand) -> dict:
     """Parse a key=value file into argparse defaults for one subcommand.
 
-    A line whose first character other than a space is ``#`` is a comment;
-    elsewhere ``#`` is part of the value.  A ``config.echo`` loads back:
-    its ``config`` line and the positional arguments, which the command
-    line gives, are skipped, ``None`` restores an option whose default is
-    None, and a tuned run's ``state_noise`` line turns tuning on.
+    A ``#`` at the start of a line or after whitespace starts a comment;
+    elsewhere it is part of the value.  A ``config.echo`` loads back: its
+    ``config`` line and the positional arguments, which the command line
+    gives, are skipped, ``None`` restores an option whose default is None,
+    and a tuned run's ``state_noise`` line, which sets nothing, must name
+    the CLI's tuning grid.
     """
     overrides = {}
     try:
@@ -399,8 +390,8 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
     for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+        text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
+        if not text:
             continue
         if "=" not in text:
             raise ValueError(f"{path}, line {lineno}: expected key=value")
@@ -408,12 +399,14 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
         dest = key.replace("-", "_")
         if dest == "config" or dest in sub.positionals:
             continue
-        tuning = dest == "state_noise" and "kalman_q" in sub.options
-        if not tuning and dest not in sub.options:
+        grid = dest == "state_noise" and "kalman_q" in sub.options
+        if not grid and dest not in sub.options:
             raise ValueError(f"{path}, line {lineno}: unknown option '{key}'")
         try:
-            if tuning:
-                overrides.update(_tuning(sub, raw))
+            if grid:
+                if tuple(float(tok) for tok in raw.split()) != DEFAULT_TUNE_GRID:
+                    raise ValueError("expected the tuning grid "
+                                     + " ".join(map(io.fmt, DEFAULT_TUNE_GRID)))
             else:
                 overrides[dest] = _option_value(sub.options[dest], raw)
         except (ValueError, argparse.ArgumentTypeError) as exc:

@@ -520,20 +520,18 @@ class TestConfigFile:
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 1, seed=1)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"  # a comment line\nout-dir = {tmp_path / 'dir#2'}\n")
+        cfg.write_text(f"  # a comment line\nout-dir = {tmp_path / 'dir#2'}  # a note\n")
         assert run("fit", panel_path, "--config", cfg) == 0
         assert (tmp_path / "dir#2" / "cov_path.csv").exists()
         assert not (tmp_path / "dir").exists()
 
-    @pytest.mark.parametrize("command, expected", [
-        ("fit", {"tune_state_noise": True}), ("benchmark", {"kalman_q": None}),
-    ])
-    def test_echoed_tuning_grid_turns_tuning_on(self, tmp_path, command, expected):
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_echoed_tuning_grid_sets_nothing(self, tmp_path, command):
         grid = " ".join(io.fmt(q) for q in model.DEFAULT_TUNE_GRID)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"kalman-q = 0.5\nstate_noise = {grid}\n")
         sub = cli.build_parser()[1][command]
-        assert cli.load_config_overrides(cfg, sub) == {"kalman_q": 0.5, **expected}
+        assert cli.load_config_overrides(cfg, sub) == {"kalman_q": 0.5}
 
     def test_other_state_noise_grid_is_exit_2(self, tmp_path, capsys):
         panel_path = tmp_path / "panel.csv"
