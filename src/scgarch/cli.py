@@ -11,8 +11,9 @@ explicit flags win over the file, which wins over built-in defaults, and
 a required option the file sets counts as given.  A ``config.echo`` is
 such a file: the command with the same positional arguments and
 ``--config <old dir>/config.echo --out-dir <new dir>`` writes the same
-outputs again.  A command makes its output directory only once it has
-its results: a rejected run leaves none.
+outputs again, from any directory, as every path is taken as absolute.
+A command makes its output directory only once it has its results: a
+rejected run leaves none.
 
 Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 4 benchmark with every replication failed.
@@ -21,6 +22,7 @@ Exit codes: 0 success, 2 input or parse error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -45,7 +47,6 @@ from .exceptions import (
 from .experiments import BenchmarkConfig, check_jobs, run_benchmark
 from .model import (
     DEFAULT_EXHAUSTIVE_LIMIT,
-    DEFAULT_ORDERING_SAMPLES,
     DEFAULT_TUNE_GRID,
     MODELS,
     CovariancePath,
@@ -155,10 +156,9 @@ def cmd_fit(args) -> int:
     if args.ordering == "fixed":
         result = fit_model(panel, args.model, config)
     else:
-        mode = "exhaustive" if args.ordering == "bic-exhaustive" else "sampled"
-        result = order_by_bic(panel, config, model=args.model, mode=mode,
-                              exhaustive_limit=args.bic_limit,
-                              n_samples=args.bic_samples, seed=args.seed)
+        result = order_by_bic(panel, config, model=args.model,
+                              mode=args.ordering.removeprefix("bic-"),
+                              exhaustive_limit=args.bic_limit)
 
     out = _out_dir(args)
     io.write_cov_path(out / "cov_path.csv", result.cov_path)
@@ -246,7 +246,8 @@ def cmd_benchmark(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--out-dir", default=".", help="directory for output files")
+    sub.add_argument("--out-dir", type=os.path.abspath, default=".",
+                     help="directory for output files")
     sub.add_argument("--config", default=None,
                      help="key=value file supplying defaults for this command")
 
@@ -289,28 +290,27 @@ def build_parser():
     sim.set_defaults(func=cmd_simulate)
 
     fit = subparsers.add_parser("fit", help="fit a covariance-path model to a panel")
-    fit.add_argument("panel", help="panel CSV (header labels, one row per step)")
+    fit.add_argument("panel", type=os.path.abspath,
+                     help="panel CSV (header labels, one row per step)")
     fit.add_argument("--model", choices=list(MODELS), default="scgarch")
-    fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-sampled"],
+    fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-beam"],
                      default="fixed")
     fit.add_argument("--bic-limit", type=positive_int, default=DEFAULT_EXHAUSTIVE_LIMIT,
                      help="max dimension for exhaustive ordering search "
                           "(p * 2**(p-1) column fits)")
-    fit.add_argument("--bic-samples", type=positive_int, default=DEFAULT_ORDERING_SAMPLES,
-                     help="permutations drawn in sampled ordering search")
-    fit.add_argument("--seed", type=uint64, default=0,
-                     help="seed for sampled ordering search")
     _add_fit_options(fit)
     _add_common(fit)
     fit.set_defaults(func=cmd_fit)
 
     ev = subparsers.add_parser("evaluate",
                                help="score a covariance path against a truth")
-    ev.add_argument("estimate", help="estimated path CSV (t,i,j,value)")
-    ev.add_argument("--truth", default=None, help="true path CSV (t,i,j,value)")
+    ev.add_argument("estimate", type=os.path.abspath, help="estimated path CSV (t,i,j,value)")
+    ev.add_argument("--truth", type=os.path.abspath, default=None,
+                    help="true path CSV (t,i,j,value)")
     ev.add_argument("--moving-block", action="store_true",
                     help="use a moving-block proxy of --panel as the truth")
-    ev.add_argument("--panel", default=None, help="panel CSV for the proxy")
+    ev.add_argument("--panel", type=os.path.abspath, default=None,
+                    help="panel CSV for the proxy")
     ev.add_argument("--block-size", type=int, default=None, help="proxy window width")
     ev.add_argument("--scale", choices=list(SCALES), default="covariance")
     _add_common(ev)
@@ -318,7 +318,7 @@ def build_parser():
 
     sel = subparsers.add_parser("select-block",
                                 help="choose a moving-block window width")
-    sel.add_argument("panel", help="panel CSV")
+    sel.add_argument("panel", type=os.path.abspath, help="panel CSV")
     sel.add_argument("--candidates", type=int, nargs="+",
                      help="increasing odd window widths to score (required)")
     sel.add_argument("--threshold", type=float,

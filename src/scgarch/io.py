@@ -7,11 +7,12 @@ labels, one row per time step).  Both readers parse a file's body with
 one ``np.loadtxt`` call, which gives a number the bits ``float()`` gives
 it; blank lines are skipped and an error names the line at fault.
 
-Everything that grows with the number of time steps (panels, covariance,
-correlation and coefficient paths, per-step loss reports) is written a
-chunk of time steps at a time: each step's lines are one ``%``-template
-filled from that step's values, so no per-entry Python call is made and
-no whole file is held in memory.  ``"%.17g" % v`` and ``fmt(v)`` use the
+Everything that grows with the number of time steps is written without
+holding a whole file in memory: the wide files (panels, per-step loss
+reports) a row at a time by ``np.savetxt``, the long-format paths
+(covariance, correlation, coefficients) a chunk of time steps at a time,
+each step's lines one ``%``-template filled from that step's values, so
+no per-entry Python call is made.  ``"%.17g" % v`` and ``fmt(v)`` use the
 same float-to-string routine and ``csv.writer`` never quotes a number,
 so the bytes are those ``csv.writer`` writes, ``\r\n`` line ends included.
 The long-format writers format each distinct column once: a column that
@@ -46,15 +47,6 @@ def write_table(path, header, rows):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_steps(fh, values: np.ndarray, step_text):
-    """Write ``step_text(t, row)`` for each row of ``values`` (t 1-based),
-    one joined string per chunk of time steps."""
-    for start in range(0, len(values), _CHUNK_STEPS):
-        block = values[start:start + _CHUNK_STEPS].tolist()
-        fh.write("".join([step_text(t, row)
-                          for t, row in enumerate(block, start + 1)]))
 
 
 def _column_sources(values: np.ndarray):
@@ -126,11 +118,10 @@ def _write_long(path, header, pairs, values: np.ndarray):
 
 def write_columns(path, header, values):
     """Wide format: one line per row of the 2-D array ``values``."""
-    values = np.asarray(values, dtype=float)
-    template = ",".join(["%.17g"] * values.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        _write_steps(fh, values, lambda t, row: template % tuple(row))
+        np.savetxt(fh, np.asarray(values, dtype=float), fmt="%.17g", delimiter=",",
+                   newline="\r\n")
 
 
 def write_panel(path, panel: TimeSeriesPanel):
@@ -255,8 +246,9 @@ def write_eval_report(path, report, comment: str):
         fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["t", "mae", "mse"])
-        _write_steps(fh, np.column_stack([report.mae_path, report.mse_path]),
-                     lambda t, row: "%d,%.17g,%.17g\r\n" % (t, *row))
+        steps = np.arange(1, len(report.mae_path) + 1)
+        np.savetxt(fh, np.column_stack([steps, report.mae_path, report.mse_path]),
+                   fmt=("%d", "%.17g", "%.17g"), delimiter=",", newline="\r\n")
         writer.writerow(["mean", fmt(report.mae), fmt(report.mse)])
 
 

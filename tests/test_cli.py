@@ -142,17 +142,34 @@ class TestFit:
         first = (out / "ordering.txt").read_text().splitlines()[0]
         assert sorted(first.split()) == ["1", "2"]
 
-    @pytest.mark.parametrize("option", ["--bic-samples", "--bic-limit"])
+    @pytest.mark.parametrize("option", ["--bic-limit"])
     @pytest.mark.parametrize("value", [0, -3])
     def test_non_positive_search_size_is_exit_2(self, tmp_path, option, value):
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 2, seed=1)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run("fit", panel_path, "--ordering", "bic-sampled", option, value,
+            run("fit", panel_path, "--ordering", "bic-exhaustive", option, value,
                 "--out-dir", out)
         assert exc.value.code == 2
         assert not (out / "ordering.txt").exists()
+
+    def test_beam_search_repeats_byte_for_byte(self, tmp_path):
+        # p = 9 is above the exhaustive limit; the beam draws no random
+        # numbers, so two runs write the same files.
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 9, seed=3)
+        first, again = tmp_path / "first", tmp_path / "again"
+        for out in (first, again):
+            assert run("fit", panel_path, "--ordering", "bic-beam", "--out-dir", out) == 0
+        names = sorted(path.name for path in first.iterdir())
+        assert names == sorted(path.name for path in again.iterdir())
+        for name in names:
+            if name != "config.echo":
+                assert (again / name).read_bytes() == (first / name).read_bytes(), name
+        echoes = [(out / "config.echo").read_text().replace(str(out), "<out>")
+                  for out in (first, again)]
+        assert echoes[0] == echoes[1]
 
     def test_bic_fit_fits_each_column_set_once(self, tmp_path, monkeypatch):
         # p = 4: the search fits p * 2**(p-1) = 32 (series, set) pairs, and
@@ -463,7 +480,7 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
-        ("fit", ["--kalman-q", 0.01, "--seed", 3]),
+        ("fit", ["--kalman-q", 0.01, "--ordering", "bic-beam"]),
         ("fit", ["--tune-state-noise", "--two-pass"]),
         ("evaluate", ["--truth", "truth/truth_cov.csv"]),
         ("select-block", ["--candidates", 5, 11, 21]),
@@ -492,6 +509,25 @@ class TestConfigFile:
                     if not line.startswith(("out_dir=", "config="))]
         assert settings(again) == settings(first)
         assert f"config={echo}" in (again / "config.echo").read_text().splitlines()
+
+    @pytest.mark.parametrize("truth", [
+        ["--truth", "t/truth_cov.csv"],
+        ["--moving-block", "--panel", "t/panel.csv", "--block-size", 5],
+    ], ids=["truth", "moving-block"])
+    def test_echo_reruns_evaluate_from_a_sibling_directory(self, tmp_path, monkeypatch,
+                                                           truth):
+        # The echo records absolute paths, so it reads back from anywhere.
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        assert run("simulate", "sim2", "--n", 64, "--out-dir", "t") == 0
+        assert run("simulate", "sim2", "--n", 64, "--seed", 1, "--out-dir", "e") == 0
+        assert run("evaluate", "e/truth_cov.csv", *truth, "--out-dir", "o1") == 0
+        monkeypatch.chdir(tmp_path / "b")
+        assert run("evaluate", "../a/e/truth_cov.csv", "--config", "../a/o1/config.echo",
+                   "--out-dir", "o2") == 0
+        assert ((tmp_path / "b" / "o2" / "eval.csv").read_bytes()
+                == (tmp_path / "a" / "o1" / "eval.csv").read_bytes())
 
     def test_flags_win_over_an_echo(self, tmp_path):
         panel_path = tmp_path / "panel.csv"

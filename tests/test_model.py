@@ -73,17 +73,6 @@ def all_pairs(p):
             for j in range(p) if j not in s]
 
 
-def drawn_permutations(p, n_samples, seed):
-    """The permutations sampled-mode ``order_by_bic`` draws."""
-    rng = np.random.default_rng(seed)
-    return [tuple(rng.permutation(p).tolist()) for _ in range(n_samples)]
-
-
-def drawn_pairs(p, n_samples, seed):
-    return {pair for perm in drawn_permutations(p, n_samples, seed)
-            for pair in model._ordering_pairs(perm)}
-
-
 def oracle_column(panel, j, preds, config):
     """Column j on the columns ``preds`` (in that order), one regression at
     a time through the public Kalman functions: the state noise from
@@ -399,9 +388,8 @@ class TestOrdering:
 
         monkeypatch.setattr(model, "garch_fit", flat_fit)
         panel = mixed_garch_panel(100, 3, seed=0)
-        for mode in ("exhaustive", "sampled"):
-            result = order_by_bic(panel, model="cgarch", mode=mode, n_samples=40, seed=5)
-            assert result.ordering == (0, 1, 2)
+        for mode in ("exhaustive", "beam"):
+            assert order_by_bic(panel, model="cgarch", mode=mode).ordering == (0, 1, 2)
 
     def test_exchangeable_columns_score_alike(self):
         # same-law columns: the two orderings differ only by noise
@@ -417,11 +405,6 @@ class TestOrdering:
         panel = iid_panel(100, np.ones(3), seed=0)
         with pytest.raises(TooManyPermutations):
             order_by_bic(panel, exhaustive_limit=2)
-
-    def test_sampled_mode_returns_valid_permutation(self):
-        panel = causal_chain_panel(200, seed=3)
-        perm = order_by_bic(panel, mode="sampled", n_samples=5, seed=1).ordering
-        assert sorted(perm) == [0, 1, 2]
 
     def test_recovers_causal_order_in_majority(self):
         hits = 0
@@ -450,17 +433,18 @@ class TestOrdering:
         assert order_by_bic(panel, config).ordering == min(zip(bics, candidates))[1]
 
     # p = 4: p * 2**(p-1) = 32 (column, predecessor set) pairs, 28 of them
-    # with predecessors, which the second pass re-filters and refits; five
-    # sampled draws fit only their distinct pairs
-    @pytest.mark.parametrize("model_name, two_pass, mode, expected", [
-        pytest.param("scgarch", False, "exhaustive", 32, id="scgarch-False-32"),
-        pytest.param("cgarch", False, "exhaustive", 32, id="cgarch-False-32"),
-        pytest.param("scgarch", True, "exhaustive", 32 + 28, id="scgarch-True-60"),
-        pytest.param("scgarch", False, "sampled", len(drawn_pairs(4, 5, seed=2)),
-                     id="scgarch-sampled"),
+    # with predecessors, which the second pass re-filters and refits.  At
+    # p = 6 the beam fits the pairs of every set of sizes 0 to 2 (6 + 30 +
+    # 60), of 16 of the 20 sets of size 3 (48), and of every larger set (30
+    # + 6), against 192 for the exhaustive search.
+    @pytest.mark.parametrize("model_name, two_pass, mode, p, expected", [
+        pytest.param("scgarch", False, "exhaustive", 4, 32, id="scgarch-False-32"),
+        pytest.param("cgarch", False, "exhaustive", 4, 32, id="cgarch-False-32"),
+        pytest.param("scgarch", True, "exhaustive", 4, 32 + 28, id="scgarch-True-60"),
+        pytest.param("scgarch", False, "beam", 6, 180, id="scgarch-beam-180"),
     ])
     def test_search_fits_each_column_set_once(self, monkeypatch, model_name,
-                                              two_pass, mode, expected):
+                                              two_pass, mode, p, expected):
         calls = []
 
         def counting_fit(eps):
@@ -468,19 +452,21 @@ class TestOrdering:
             return garch_fit(eps)
 
         monkeypatch.setattr(model, "garch_fit", counting_fit)
-        panel = mixed_garch_panel(100, 4, seed=1)
-        order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name,
-                     mode=mode, n_samples=5, seed=2)
+        panel = mixed_garch_panel(100, p, seed=1)
+        order_by_bic(panel, ScgarchConfig(two_pass=two_pass), model=model_name, mode=mode)
         assert len(calls) == expected
 
     # One Kalman pass per set size, the one-predecessor regressions padded
-    # into the two-predecessor pass, and as many again with two_pass.
+    # into the two-predecessor pass when one call fits both (not in the
+    # beam, which fits each size in its own call), and as many again with
+    # two_pass.
     @pytest.mark.parametrize("p, mode, two_pass, widths", [
         (3, "fixed", False, [2]),
         (3, "fixed", True, [2, 2]),
         (4, "exhaustive", False, [2, 3]),
         (4, "exhaustive", True, [2, 2, 3, 3]),
         (2, "fixed", False, [1]),
+        (4, "beam", False, [1, 2, 3]),
     ])
     def test_kalman_passes_per_fit(self, monkeypatch, p, mode, two_pass, widths):
         calls = []
@@ -532,10 +518,10 @@ class TestOrdering:
         ("scgarch", ScgarchConfig(), "exhaustive", 4),
         ("scgarch", replace(TUNED, two_pass=True), "exhaustive", 4),
         ("cgarch", ScgarchConfig(), "exhaustive", 4),
-        ("scgarch", TUNED, "sampled", 4),
+        ("scgarch", TUNED, "beam", 6),
         ("scgarch", ScgarchConfig(), "exhaustive", 6),
         ("scgarch", replace(TUNED, two_pass=True), "exhaustive", 6),
-    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch", "scgarch-sampled",
+    ], ids=["scgarch-fixed", "scgarch-tuned-two-pass", "cgarch", "scgarch-beam",
             "scgarch-fixed-p6", "scgarch-tuned-two-pass-p6"])
     def test_search_pairs_add_up_to_the_final_fit(self, model_name, config, mode, p):
         # The search and the final fit share one column fit, so the pairs
@@ -545,8 +531,7 @@ class TestOrdering:
         # and the final fit one or two.
         panel = mixed_garch_panel(150, p, seed=6)
         fitted = model._fit_columns(panel.values, model_name, config, all_pairs(p))
-        result = order_by_bic(panel, config, model=model_name, mode=mode,
-                              n_samples=6, seed=1)
+        result = order_by_bic(panel, config, model=model_name, mode=mode)
         chosen = result.ordering
         assert chosen != tuple(range(p))
         path_sum = sum(fitted[(j, frozenset(chosen[:k]))][2].loglik
@@ -559,33 +544,40 @@ class TestOrdering:
         for got, want in zip(result.garch_fits, final.garch_fits, strict=True):
             np.testing.assert_array_equal(got.sigma2_path, want.sigma2_path)
 
-    @pytest.mark.parametrize("p, n_samples", [(4, 4), (5, 6)])
+    @pytest.mark.parametrize("p", [4, 5, 6])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_sampled_mode_picks_the_best_ordering_its_pairs_allow(self, p, n_samples,
-                                                                  seed):
+    def test_beam_picks_the_best_ordering_its_pairs_allow(self, monkeypatch, p, seed):
+        searched, fit_columns = set(), model._fit_columns
+
+        def recording_fit_columns(y, model_name, config, pairs):
+            searched.update(pairs)
+            return fit_columns(y, model_name, config, pairs)
+
         panel = mixed_garch_panel(150, p, seed=seed)
-        drawn = drawn_pairs(p, n_samples, seed)
-        fitted = model._fit_columns(panel.values, "scgarch", ScgarchConfig(), all_pairs(p))
+        fitted = fit_columns(panel.values, "scgarch", ScgarchConfig(), all_pairs(p))
+        monkeypatch.setattr(model, "_fit_columns", recording_fit_columns)
+        result = order_by_bic(panel, mode="beam")
+        # Below p = 6 the beam keeps every set; at p = 6 it drops 4 of size 3.
+        assert len(searched) == (180 if p == 6 else len(fitted))
         totals = {perm: sum(fitted[pair][2].loglik for pair in model._ordering_pairs(perm))
                   for perm in itertools.permutations(range(p))
-                  if set(model._ordering_pairs(perm)) <= drawn}
+                  if set(model._ordering_pairs(perm)) <= searched}
         top = sorted(totals.values())
         assert len(top) > 1 and top[-1] - top[-2] > 1e-6  # the argmax is well defined
-        result = order_by_bic(panel, mode="sampled", n_samples=n_samples, seed=seed)
         assert result.ordering == max(totals, key=totals.get)
         assert result.total_loglik == pytest.approx(top[-1], rel=1e-12)
 
-    def test_sampled_mode_can_beat_every_drawn_permutation(self):
-        # The best ordering the four draws' pairs allow is none of the draws.
-        panel = mixed_garch_panel(150, 4, seed=0)
-        result = order_by_bic(panel, mode="sampled", n_samples=4, seed=0)
-        for perm in drawn_permutations(4, 4, seed=0):
-            assert fit_model(panel, "scgarch", ScgarchConfig(), perm).total_loglik \
-                < result.total_loglik - 1.0
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown ordering mode"):
+            order_by_bic(causal_chain_panel(200, seed=3), mode="sampled")
 
-    def test_sampled_mode_needs_a_sample(self):
-        with pytest.raises(ValueError):
-            order_by_bic(causal_chain_panel(200, seed=3), mode="sampled", n_samples=0)
+    def test_search_reports_covariances_in_one_contiguous_array(self):
+        # The search's ordering is not the panel's, so its covariance path
+        # is permuted back, into one C-contiguous array that
+        # ``write_cov_path`` reshapes without a copy.
+        result = order_by_bic(mixed_garch_panel(150, 4, seed=6))
+        assert result.ordering != (0, 1, 2, 3)
+        assert result.cov_path.sigmas.flags.c_contiguous
 
     def test_best_ordering_breaks_exact_ties_lexicographically(self):
         # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower
