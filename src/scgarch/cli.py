@@ -189,6 +189,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError("exactly one of --truth or --moving-block is required")
     estimate = io.read_cov_path(args.estimate)
     if args.truth:
+        if args.panel or args.block_size is not None:
+            raise ValueError("--truth takes neither --panel nor --block-size")
         truth = io.read_cov_path(args.truth)
         source = f"file:{args.truth}"
     else:

@@ -9,6 +9,7 @@ rule for choosing the window width.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,10 @@ class BlockSelection:
 
 
 def validate_block_size(q: int, n: int):
-    q = int(q)
+    try:
+        q = operator.index(q)
+    except TypeError:
+        raise InvalidBlockSize(f"block size must be an integer, got {q!r}") from None
     if q % 2 == 0:
         raise InvalidBlockSize(f"block size must be odd, got {q}")
     if q < 3:

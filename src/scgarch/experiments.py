@@ -38,7 +38,8 @@ class Sim1BiasConfig:
     ``KalmanConfig.default``); the statistic is the mean of the
     filtered-minus-true coefficient over the last ``SIM1_LAST_K`` points,
     averaged over replications.  No replication, no size, a size below 1
-    or listed twice, or a negative base seed raise ValueError.
+    or listed twice, a negative base seed, or a walk or measurement
+    variance that ``Sim1Config`` rejects raise ValueError.
     """
 
     sizes: tuple[int, ...] = (100, 500, 1000)
@@ -55,6 +56,7 @@ class Sim1BiasConfig:
                              f"got {self.sizes}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        Sim1Config(n=1, q_true=self.q_true, meas_var=self.meas_var)
 
 
 def check_jobs(jobs: int) -> int:

@@ -20,13 +20,15 @@ the scgarch regressions of one set size in one batched Kalman pass (those
 of sets of one in the pass of sets of two), and ``_assemble`` builds the
 fit of an ordering from its p pairs.
 ``fit_model`` fits the pairs of one ordering; the search fits those of
-every ordering or of a beam over predecessor sets and assembles the best
-ordering they allow (``_best_ordering``): it runs the pipeline once.
+every ordering or of a beam over predecessor sets, finds the best ordering
+they allow in one forward pass over set sizes and assembles it: it runs
+the pipeline once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,7 +175,10 @@ class ScgarchFitResult:
 
 
 def check_permutation(ordering, p: int) -> tuple[int, ...]:
-    perm = tuple(int(k) for k in ordering)
+    try:
+        perm = tuple(map(operator.index, ordering))
+    except TypeError as exc:
+        raise DimensionMismatch(f"ordering entries must be integers: {exc}") from None
     if sorted(perm) != list(range(p)):
         raise DimensionMismatch(f"{perm} is not a permutation of 0..{p - 1}")
     return perm
@@ -391,33 +396,6 @@ DEFAULT_EXHAUSTIVE_LIMIT = 8
 BEAM_WIDTH = 16
 
 
-def _best_ordering(p: int, scores: dict) -> tuple[int, ...]:
-    """Ordering of 0..p-1 maximizing ``sum_k scores[(o[k], set(o[:k]))]``
-    among the orderings whose p pairs are all in ``scores`` (at least one).
-
-    Dynamic programming over predecessor sets (the order-DP of exact
-    Bayesian-network structure learning): ``g(S) = max over j of
-    scores[(j, S)] + g(S | {j})`` with ``g(all) = 0``, over the pairs in
-    ``scores``, larger sets first.  The ordering is rebuilt forward from
-    the empty set taking, at each step, the smallest j whose value equals
-    the maximum exactly, so among orderings with exactly equal totals the
-    lexicographically smallest is returned.
-    """
-    full = frozenset(range(p))
-    g = {full: 0.0}
-    choice = {}
-    for j, placed in sorted(scores, key=lambda pair: (-len(pair[1]), pair[0])):
-        if placed | {j} in g:
-            value = scores[(j, placed)] + g[placed | {j}]
-            if placed not in choice or value > g[placed]:
-                g[placed], choice[placed] = value, j
-    ordering, placed = [], frozenset()
-    while placed != full:
-        ordering.append(choice[placed])
-        placed = placed | {choice[placed]}
-    return tuple(ordering)
-
-
 def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                  model: str = "scgarch", mode: str = "exhaustive",
                  exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> ScgarchFitResult:
@@ -426,18 +404,21 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     All candidate orderings share the same parameter count, so the ranking
     reduces to total log-likelihood; BIC is still the reported criterion.
     A series' log-likelihood depends only on the set of its predecessors,
-    so either mode fits (series, set) pairs and ``_best_ordering`` picks
-    the best ordering they allow.  Exhaustive mode fits all p * 2**(p-1)
-    pairs (1,024 at the default limit p = 8), finding the best of all p!
-    orderings, and refuses p above ``exhaustive_limit``.  Beam mode fits,
-    set size by set size with one ``_fit_columns`` call each, the pairs
-    (j, S) of the ``BEAM_WIDTH`` best sets S (all below p = 6, 392 pairs
-    at p = 8), ranking each S | {j} by the best total of its fitted
-    orderings, ties by the sorted set; it draws no random numbers.  Tied
-    orderings break toward the lexicographically smallest.
+    so both modes run one forward program over predecessor sets (the order
+    DP of exact Bayesian-network structure learning): set size by set
+    size, each set S | {j} reached from a kept set S keeps the best total
+    ``g(S) + loglik(j, S)`` over its fitted orderings and the prefix that
+    gives it, among exactly equal totals the lexicographically smallest.
+    Exhaustive mode keeps every set, finding the best of all p! orderings;
+    it fits all p * 2**(p-1) pairs (1,024 at the default limit p = 8) up
+    front in one ``_fit_columns`` call and refuses p above
+    ``exhaustive_limit``.  Beam mode keeps the ``BEAM_WIDTH`` best sets of
+    each size, ties broken by the sorted set, and fits the pairs (j, S) of
+    the kept sets with one ``_fit_columns`` call per size (all below
+    p = 6, 392 pairs at p = 8); it draws no random numbers.
 
-    Returns the fit in the chosen ``result.ordering``, assembled from the
-    search's column fits: bit for bit the fit ``fit_model`` makes in it.
+    Returns the fit in the prefix kept for the full set, assembled from
+    the search's column fits: bit for bit the fit ``fit_model`` makes in it.
     """
     _check(panel, model)
     config = config or ScgarchConfig()
@@ -448,23 +429,26 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
                 f"p={p} exceeds the exhaustive limit {exhaustive_limit}; "
                 "use --ordering bic-beam"
             )
-        pairs = [(j, frozenset(s)) for size in range(p)
-                 for s in itertools.combinations(range(p), size)
-                 for j in range(p) if j not in s]
-        fitted = _fit_columns(panel.values, model, config, pairs)
+        width = None
+        fitted = _fit_columns(panel.values, model, config, [
+            (j, frozenset(s)) for size in range(p)
+            for s in itertools.combinations(range(p), size)
+            for j in range(p) if j not in s])
     elif mode == "beam":
-        fitted, beam, value = {}, [frozenset()], {frozenset(): 0.0}
-        for _ in range(p):
-            pairs = [(j, placed) for placed in beam for j in range(p) if j not in placed]
-            fitted.update(_fit_columns(panel.values, model, config, pairs))
-            reached = {}
-            for j, placed in pairs:
-                total = value[placed] + fitted[(j, placed)][2].loglik
-                if placed | {j} not in reached or total > reached[placed | {j}]:
-                    reached[placed | {j}] = total
-            beam = sorted(reached, key=lambda s: (-reached[s], sorted(s)))[:BEAM_WIDTH]
-            value = reached
+        width, fitted = BEAM_WIDTH, {}
     else:
         raise ValueError(f"unknown ordering mode {mode!r}")
-    perm = _best_ordering(p, {pair: fit[2].loglik for pair, fit in fitted.items()})
-    return _assemble(panel, model, perm, fitted)
+    # best[S] = (-g(S), prefix): the smaller key is the better prefix of S.
+    beam, best = [frozenset()], {frozenset(): (0.0, ())}
+    for _ in range(p):
+        pairs = [(j, placed) for placed in beam for j in range(p) if j not in placed]
+        if mode == "beam":
+            fitted.update(_fit_columns(panel.values, model, config, pairs))
+        reached = {}
+        for j, placed in pairs:
+            neg_total, prefix = best[placed]
+            key = (neg_total - fitted[(j, placed)][2].loglik, prefix + (j,))
+            reached[placed | {j}] = min(key, reached.get(placed | {j}, key))
+        beam = sorted(reached, key=lambda s: (reached[s][0], sorted(s)))[:width]
+        best = reached
+    return _assemble(panel, model, best[frozenset(range(p))][1], fitted)

@@ -30,10 +30,10 @@ class Sim1Config:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.q_true < 0:
-            raise ValueError("q_true must be >= 0")
-        if not self.meas_var > 0:
-            raise ValueError("meas_var must be > 0")
+        if not (np.isfinite(self.q_true) and self.q_true >= 0):
+            raise ValueError(f"q_true must be finite and >= 0, got {self.q_true}")
+        if not (np.isfinite(self.meas_var) and self.meas_var > 0):
+            raise ValueError(f"meas_var must be finite and > 0, got {self.meas_var}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ class Sim2Config:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.deltas) != 3 or any(d <= 0 for d in self.deltas):
-            raise ValueError("deltas must be three positive scales")
-        if len(self.diag) != 3 or any(v <= 0 for v in self.diag):
-            raise ValueError("diag must be three positive variances")
+        if len(self.deltas) != 3 or not all(np.isfinite(d) and d > 0 for d in self.deltas):
+            raise ValueError("deltas must be three finite positive scales")
+        if len(self.diag) != 3 or not all(np.isfinite(v) and v > 0 for v in self.diag):
+            raise ValueError("diag must be three finite positive variances")
 
 
 @dataclass

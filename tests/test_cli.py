@@ -54,6 +54,12 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     ["benchmark", "--n", 10],
     ["select-block", "panel.csv", "--candidates", 5, 9, "--threshold", "nan"],
     ["select-block", "panel.csv"],  # no --candidates
+    ["simulate", "sim1", "--q-true", "nan"],
+    ["simulate", "sim1", "--meas-var", "inf"],
+    ["simulate", "sim2", "--deltas", "nan", 1, 1],
+    # --truth reads neither --panel nor --block-size
+    ["evaluate", "cov100.csv", "--truth", "cov100.csv", "--block-size", 4,
+     "--panel", "missing.csv"],
 ])
 def test_rejected_run_creates_no_directory(tmp_path, argv):
     write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
@@ -590,7 +596,8 @@ class TestExperimentJobs:
     @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-1"],
                                       ["--jobs", str((os.cpu_count() or 1) + 1)],
                                       ["--replications", "0"], ["--sizes", "0"],
-                                      ["--base-seed", "-1"], ["--sizes", "20", "20"]])
+                                      ["--base-seed", "-1"], ["--sizes", "20", "20"],
+                                      ["--q-true", "nan"], ["--meas-var", "inf"]])
     def test_script_rejects_out_of_range(self, script, no_pool, argv):
         with pytest.raises(SystemExit) as exc:
             script.main(argv)
@@ -613,7 +620,8 @@ class TestExperimentJobs:
 
 @pytest.mark.parametrize("settings", [dict(replications=0), dict(sizes=()),
                                       dict(sizes=(20, 0)), dict(base_seed=-1),
-                                      dict(sizes=(20, 20))])
+                                      dict(sizes=(20, 20)), dict(q_true=np.nan),
+                                      dict(meas_var=0.0)])
 def test_sim1_bias_config_rejects_out_of_range(settings):
     with pytest.raises(ValueError):
         Sim1BiasConfig(**settings)

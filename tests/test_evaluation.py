@@ -52,6 +52,17 @@ class TestMovingBlockProxy:
         with pytest.raises(InvalidBlockSize):
             moving_block_proxy(panel, 4)
 
+    @pytest.mark.parametrize("q", [5.9, 5.0, "5"])
+    def test_non_integer_block_size_is_rejected(self, q):
+        panel = TimeSeriesPanel(np.arange(9.0).reshape(9, 1) + 1.0)
+        with pytest.raises(InvalidBlockSize, match="must be an integer"):
+            moving_block_proxy(panel, q)
+
+    def test_numpy_integer_block_size_is_accepted(self):
+        panel = TimeSeriesPanel(np.arange(9.0).reshape(9, 1) + 1.0)
+        np.testing.assert_array_equal(moving_block_proxy(panel, np.int64(5)).sigmas,
+                                      moving_block_proxy(panel, 5).sigmas)
+
     def test_outputs_are_psd(self):
         rng = np.random.default_rng(5)
         proxy = moving_block_proxy(TimeSeriesPanel(rng.standard_normal((50, 2))), 7)
@@ -122,6 +133,11 @@ class TestSelectBlockSize:
         assert sel.q_star == 5 and sel.stable
         assert len(sel.table) == 1
         assert sel.table[0].mae_diff is None
+
+    def test_non_integer_candidate_is_rejected(self):
+        panel = TimeSeriesPanel(np.random.default_rng(1).standard_normal((40, 2)))
+        with pytest.raises(InvalidBlockSize, match="must be an integer"):
+            select_block_size(panel, [5.5, 9.2, 21])
 
     def test_requires_increasing_candidates(self):
         rng = np.random.default_rng(1)

@@ -25,7 +25,6 @@ from scgarch.model import (
     fit_model,
     order_by_bic,
 )
-from scgarch.model import _best_ordering
 from scgarch.simulate import Sim2Config, generate_sim2
 
 TUNED = ScgarchConfig(state_noise=tuple(np.logspace(-6, -1, 6)))
@@ -215,6 +214,18 @@ class TestFitScgarch:
             for j in range(3):
                 np.testing.assert_allclose(a[:, perm[i], perm[j]], b[:, i, j],
                                            atol=1e-9)
+
+    @pytest.mark.parametrize("ordering", [(0.5, 1.2, 2.0), (0.0, 1.0, 2.0), ("0", "1", "2")],
+                             ids=["fractions", "whole-floats", "strings"])
+    def test_rejects_non_integer_ordering(self, ordering):
+        with pytest.raises(DimensionMismatch):
+            fit_model(iid_panel(60, [1.0, 1.0, 1.0], seed=0), "cgarch", ordering=ordering)
+
+    def test_accepts_numpy_integer_ordering(self):
+        panel = iid_panel(60, [1.0, 1.0, 1.0], seed=0)
+        fit = fit_model(panel, "cgarch", ordering=np.array([2, 0, 1]))
+        assert fit.ordering == (2, 0, 1)
+        assert all(type(k) is int for k in fit.ordering)
 
     def test_two_pass_runs(self):
         panel = constant_coefficient_panel(300, seed=21)
@@ -579,13 +590,27 @@ class TestOrdering:
         assert result.ordering != (0, 1, 2, 3)
         assert result.cov_path.sigmas.flags.c_contiguous
 
-    def test_best_ordering_breaks_exact_ties_lexicographically(self):
-        # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower
+    def test_best_ordering_breaks_exact_ties_lexicographically(self, monkeypatch):
+        # (1, 0, 2) and (2, 0, 1) both total 5.0; everything else is lower.
+        # With every pair at 0.0, all six orderings tie.
         table = {(1, frozenset()): 2.0, (2, frozenset()): 2.0,
                  (0, frozenset({1})): 3.0, (0, frozenset({2})): 3.0}
-        assert _best_ordering(3, {pair: table.get(pair, 0.0)
-                                  for pair in all_pairs(3)}) == (1, 0, 2)
-        assert _best_ordering(3, dict.fromkeys(all_pairs(3), 0.0)) == (0, 1, 2)
+        fit_columns = model._fit_columns
+
+        def scored_by(scores):
+            def scored_fit_columns(y, model_name, config, pairs):
+                fitted = fit_columns(y, model_name, config, pairs)
+                return {pair: (coefs, eps, replace(fit, loglik=scores.get(pair, 0.0)))
+                        for pair, (coefs, eps, fit) in fitted.items()}
+            return scored_fit_columns
+
+        panel = mixed_garch_panel(100, 3, seed=0)
+        for scores, expected in [(table, (1, 0, 2)), ({}, (0, 1, 2))]:
+            monkeypatch.setattr(model, "_fit_columns", scored_by(scores))
+            for mode in ("exhaustive", "beam"):
+                result = order_by_bic(panel, model="cgarch", mode=mode)
+                assert result.ordering == expected
+                assert result.total_loglik == (5.0 if scores else 0.0)
 
     def test_cgarch_search_keeps_static_pd_check(self):
         col = np.random.default_rng(4).standard_normal(100)

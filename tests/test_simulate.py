@@ -77,6 +77,14 @@ class TestSim2:
         with pytest.raises(ValueError):
             Sim2Config(deltas=(128.0, 0.0, 64.0))
 
+    @pytest.mark.parametrize("name, value", [
+        ("deltas", (np.nan, 1.0, 1.0)), ("deltas", (128.0, np.inf, 64.0)),
+        ("diag", (2.0, np.nan, 4.0)), ("diag", (2.0, 3.0, np.inf)),
+    ], ids=["deltas-nan", "deltas-inf", "diag-nan", "diag-inf"])
+    def test_config_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            Sim2Config(**{name: value})
+
 
 class TestSim1:
     def test_zero_walk_noise_freezes_coefficient(self):
@@ -107,3 +115,10 @@ class TestSim1:
             Sim1Config(n=10, q_true=-1.0)
         with pytest.raises(ValueError):
             Sim1Config(n=10, meas_var=0.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("q_true", np.nan), ("q_true", np.inf), ("meas_var", np.nan), ("meas_var", np.inf),
+    ], ids=["q_true-nan", "q_true-inf", "meas_var-nan", "meas_var-inf"])
+    def test_config_rejects_non_finite_settings(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            Sim1Config(n=10, **{name: value})
