@@ -8,14 +8,14 @@ Example:
 
 import argparse
 
-from scgarch.cli import job_count, positive_int, uint64
+from scgarch.cli import job_count, uint64
 from scgarch.experiments import Sim1BiasConfig, run_sim1_bias
 
 
 def build_parser():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--sizes", type=positive_int, nargs="+", default=Sim1BiasConfig.sizes)
-    ap.add_argument("--replications", type=positive_int,
+    ap.add_argument("--sizes", type=int, nargs="+", default=Sim1BiasConfig.sizes)
+    ap.add_argument("--replications", type=int,
                     default=Sim1BiasConfig.replications)
     ap.add_argument("--base-seed", type=uint64, default=Sim1BiasConfig.base_seed)
     ap.add_argument("--q-true", type=float, default=Sim1BiasConfig.q_true)

@@ -2,16 +2,18 @@
 
 Every command writes its full effective configuration (defaults, seeds
 and all) to ``config.echo`` in the output directory, so a run can be
-reproduced from its artifacts alone.  A tuned run (``fit
---tune-state-noise``, ``benchmark`` without ``--kalman-q``) echoes the
-state-noise candidates it searched in place of ``kalman_q``, and
-``simulate`` echoes only the options of the kind it generates.  Options
-can also be supplied in a key=value config file via ``--config``;
+reproduced from its artifacts alone; ``simulate`` echoes only the
+options of the kind it generates.  ``--kalman-q`` takes the state-noise
+candidates of ``ScgarchConfig.state_noise``: one fixes the noise,
+several are searched per regression, and ``fit --tune-state-noise`` is
+``--kalman-q`` with the tuning grid.  Options can also be supplied in a
+key=value config file via ``--config``, keyed by long flag name;
 explicit flags win over the file, which wins over built-in defaults, and
-a required option the file sets counts as given.  A ``config.echo`` is
-such a file: the command with the same positional arguments and
-``--config <old dir>/config.echo --out-dir <new dir>`` writes the same
-outputs again, from any directory, as every path is taken as absolute.
+a required option the file sets counts as given.  A ``config.echo``,
+every line of which is an option, is such a file: the command with the
+same positional arguments and ``--config <old dir>/config.echo
+--out-dir <new dir>`` writes the same outputs again, from any directory,
+as every path is taken as absolute.
 A command makes its output directory only once it has its results: a
 rejected run leaves none.
 
@@ -46,7 +48,6 @@ from .exceptions import (
 )
 from .experiments import BenchmarkConfig, check_jobs, run_benchmark
 from .model import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
     DEFAULT_TUNE_GRID,
     MODELS,
     CovariancePath,
@@ -64,20 +65,25 @@ EXIT_BENCHMARK_FAILED = 4
 
 
 class _Subcommand(argparse.ArgumentParser):
-    """A subcommand parser that records its options and the names of its
-    positional arguments, for ``--config``."""
+    """A subcommand parser that records its options by long flag name
+    (``kalman_q`` for ``--kalman-q``) and the names of its positional
+    arguments, for ``--config``."""
 
     def __init__(self, *args, **kwargs):
         self.options = {}
         self.positionals = set()
         super().__init__(*args, **kwargs)
 
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
+    def _add_action(self, action):
+        # Members of an argument group reach the parser here, not through
+        # ``add_argument``.
+        action = super()._add_action(action)
         if not action.option_strings:
             self.positionals.add(action.dest)
         elif action.dest not in ("help", "config"):
-            self.options[action.dest] = action
+            for flag in action.option_strings:
+                if flag.startswith("--"):
+                    self.options[flag[2:].replace("-", "_")] = action
         return action
 
 
@@ -86,13 +92,6 @@ def uint64(value) -> int:
     if not 0 <= seed < 2**64:
         raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
     return seed
-
-
-def positive_int(value) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {number}")
-    return number
 
 
 def job_count(value) -> int:
@@ -109,24 +108,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _echo(args, out: Path, omit=(), state_noise=()):
-    """Write every option of ``args`` but those in ``omit``.  A run that
-    searched several ``state_noise`` candidates names them in place of
-    the ``kalman_q`` it never read."""
-    mapping = {k: v for k, v in vars(args).items()
-               if k not in ("func", "command", *omit)}
-    if len(state_noise) > 1:
-        del mapping["kalman_q"]
-        mapping["state_noise"] = state_noise
-    io.write_config_echo(out / "config.echo", mapping)
-
-
-def _fit_config(args) -> ScgarchConfig:
-    return ScgarchConfig(
-        kappa=args.kalman_kappa,
-        state_noise=DEFAULT_TUNE_GRID if args.tune_state_noise else (args.kalman_q,),
-        two_pass=args.two_pass,
-    )
+def _echo(args, out: Path, omit=()):
+    """Write every option of ``args`` but those in ``omit``."""
+    io.write_config_echo(out / "config.echo", {
+        k: v for k, v in vars(args).items() if k not in ("func", "command", *omit)})
 
 
 def cmd_simulate(args) -> int:
@@ -152,13 +137,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     panel = io.read_panel(args.panel)
-    config = _fit_config(args)
+    config = ScgarchConfig(kappa=args.kalman_kappa, state_noise=args.kalman_q,
+                           two_pass=args.two_pass)
     if args.ordering == "fixed":
         result = fit_model(panel, args.model, config)
     else:
         result = order_by_bic(panel, config, model=args.model,
-                              mode=args.ordering.removeprefix("bic-"),
-                              exhaustive_limit=args.bic_limit)
+                              mode=args.ordering.removeprefix("bic-"))
 
     out = _out_dir(args)
     io.write_cov_path(out / "cov_path.csv", result.cov_path)
@@ -178,7 +163,7 @@ def cmd_fit(args) -> int:
         fh.write(f"ordering={' '.join(str(k + 1) for k in result.ordering)}\n")
         fh.write(f"total_loglik={io.fmt(result.total_loglik)}\n")
         fh.write(f"bic={io.fmt(score)}\n")
-    _echo(args, out, state_noise=config.state_noise)
+    _echo(args, out)
     print(f"{result.model}: total_loglik={result.total_loglik:.6g} bic={score:.6g} "
           f"ordering={tuple(k + 1 for k in result.ordering)}")
     return EXIT_OK
@@ -224,19 +209,13 @@ def cmd_select_block(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    fit_cfg = ScgarchConfig(
-        kappa=args.kalman_kappa,
-        state_noise=DEFAULT_TUNE_GRID if args.kalman_q is None else (args.kalman_q,),
-    )
-    result = run_benchmark(
-        BenchmarkConfig(replications=args.replications, n=args.n,
-                        seed=args.seed, fit=fit_cfg),
-        jobs=args.jobs,
-    )
+    fit_cfg = ScgarchConfig(kappa=args.kalman_kappa, state_noise=args.kalman_q)
+    result = run_benchmark(BenchmarkConfig(replications=args.replications, n=args.n,
+                                           seed=args.seed, fit=fit_cfg), jobs=args.jobs)
     out = _out_dir(args)
     io.write_benchmark_table(out / "benchmark.csv", result)
     io.write_benchmark_failures(out / "failures.csv", result)
-    _echo(args, out, state_noise=fit_cfg.state_noise)
+    _echo(args, out)
     print(f"{'model':>8s} {'scale':>12s} {'MAE':>12s} {'MSE':>12s} {'reps':>5s}")
     for row in result.rows:
         print(f"{row.model:>8s} {row.scale:>12s} {row.mae:12.6g} {row.mse:12.6g} "
@@ -254,17 +233,21 @@ def _add_common(sub):
                      help="key=value file supplying defaults for this command")
 
 
-def _add_fit_options(sub):
-    sub.add_argument("--kalman-q", type=float, default=ScgarchConfig.state_noise[0],
-                     help="coefficient random-walk noise scale (ignored with "
-                          "--tune-state-noise)")
+def _add_kalman_options(sub, state_noise, tune=False):
+    """``--kalman-q``, the ``state_noise`` candidates; with ``tune`` its
+    shorthand for the tuning grid, ``--tune-state-noise``, exclusive of
+    it; and ``--kalman-kappa``."""
+    noise = sub.add_mutually_exclusive_group() if tune else sub
+    noise.add_argument("--kalman-q", type=float, nargs="+", default=state_noise,
+                       help="coefficient random-walk noise scale; several values "
+                            "are searched per regression by predictive likelihood")
+    if tune:
+        noise.add_argument("--tune-state-noise", dest="kalman_q", action="store_const",
+                           const=DEFAULT_TUNE_GRID,
+                           help="--kalman-q with the log grid "
+                                + " ".join(f"{q:g}" for q in DEFAULT_TUNE_GRID))
     sub.add_argument("--kalman-kappa", type=float, default=ScgarchConfig.kappa,
                      help="prior covariance scale for the coefficients")
-    sub.add_argument("--tune-state-noise", action="store_true",
-                     help="pick the walk noise per regression by predictive "
-                          "likelihood over a log grid")
-    sub.add_argument("--two-pass", action="store_true",
-                     help="re-filter coefficients using fitted variances")
 
 
 def build_parser():
@@ -297,10 +280,9 @@ def build_parser():
     fit.add_argument("--model", choices=list(MODELS), default="scgarch")
     fit.add_argument("--ordering", choices=["fixed", "bic-exhaustive", "bic-beam"],
                      default="fixed")
-    fit.add_argument("--bic-limit", type=positive_int, default=DEFAULT_EXHAUSTIVE_LIMIT,
-                     help="max dimension for exhaustive ordering search "
-                          "(p * 2**(p-1) column fits)")
-    _add_fit_options(fit)
+    _add_kalman_options(fit, ScgarchConfig.state_noise, tune=True)
+    fit.add_argument("--two-pass", action="store_true",
+                     help="re-filter coefficients using fitted variances")
     _add_common(fit)
     fit.set_defaults(func=cmd_fit)
 
@@ -337,10 +319,7 @@ def build_parser():
     bench.add_argument("--replications", type=int, default=BenchmarkConfig.replications)
     bench.add_argument("--n", type=int, default=BenchmarkConfig.n)
     bench.add_argument("--seed", type=uint64, default=0)
-    bench.add_argument("--kalman-q", type=float, default=None,
-                       help="fixed walk-noise scale (default: tuned per "
-                            "regression over a log grid)")
-    bench.add_argument("--kalman-kappa", type=float, default=ScgarchConfig.kappa)
+    _add_kalman_options(bench, BenchmarkConfig().fit.state_noise)
     bench.add_argument("--jobs", type=job_count, default=1,
                        help="worker processes for replications (1 to the CPU count)")
     _add_common(bench)
@@ -362,11 +341,11 @@ def _option_value(action, raw: str):
     """The value of one option from its text in a config file."""
     if raw == "None" and action.default is None:
         return None
-    if action.nargs == 0:
-        return _parse_bool(raw)
     convert = action.type or str
     if action.nargs in ("+", "*") or isinstance(action.nargs, int):
         value = [convert(tok) for tok in raw.split()]
+        if not value and action.nargs == "+":
+            raise ValueError("expected at least one value")
         if isinstance(action.nargs, int) and len(value) != action.nargs:
             raise ValueError(f"expected {action.nargs} values, got {len(value)}")
         return value
@@ -379,14 +358,17 @@ def _option_value(action, raw: str):
 def load_config_overrides(path, sub: _Subcommand) -> dict:
     """Parse a key=value file into argparse defaults for one subcommand.
 
-    A ``#`` at the start of a line or after whitespace starts a comment;
-    elsewhere it is part of the value.  A ``config.echo`` loads back: its
-    ``config`` line and the positional arguments, which the command line
-    gives, are skipped, ``None`` restores an option whose default is None,
-    and a tuned run's ``state_noise`` line, which sets nothing, must name
-    the CLI's tuning grid.
+    Keys are long flag names, with ``-`` or ``_``.  A flag set to true
+    stores what giving it stores (``tune-state-noise = true`` sets
+    ``kalman_q`` to the tuning grid); set to false it sets nothing.  Two
+    lines setting one value are rejected, as the command line rejects
+    ``--kalman-q`` with ``--tune-state-noise``.  A ``#`` at the start of a
+    line or after whitespace starts a comment; elsewhere it is part of the
+    value.  A ``config.echo`` loads back: its ``config`` line and the
+    positional arguments, which the command line gives, are skipped, and
+    ``None`` restores an option whose default is None.
     """
-    overrides = {}
+    overrides, set_on = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -401,18 +383,23 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
         dest = key.replace("-", "_")
         if dest == "config" or dest in sub.positionals:
             continue
-        grid = dest == "state_noise" and "kalman_q" in sub.options
-        if not grid and dest not in sub.options:
+        action = sub.options.get(dest)
+        if action is None:
             raise ValueError(f"{path}, line {lineno}: unknown option '{key}'")
+        where = f"{path}, line {lineno}: option '{key}'"
         try:
-            if grid:
-                if tuple(float(tok) for tok in raw.split()) != DEFAULT_TUNE_GRID:
-                    raise ValueError("expected the tuning grid "
-                                     + " ".join(map(io.fmt, DEFAULT_TUNE_GRID)))
+            if action.nargs != 0:
+                value = _option_value(action, raw)
+            elif _parse_bool(raw):
+                value = action.const
             else:
-                overrides[dest] = _option_value(sub.options[dest], raw)
+                continue
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"{path}, line {lineno}: option '{key}': {exc}")
+            raise ValueError(f"{where}: {exc}")
+        if action.dest in set_on:
+            raise ValueError(f"{where}: sets {action.dest}, as line "
+                             f"{set_on[action.dest]} does")
+        overrides[action.dest], set_on[action.dest] = value, lineno
     return overrides
 
 

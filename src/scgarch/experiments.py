@@ -18,7 +18,7 @@ from .evaluation import SCALES, loss_paths
 from .exceptions import ScgarchError
 from .kalman import KalmanConfig, filter_regression
 from .model import DEFAULT_TUNE_GRID, MIN_FIT_PANEL_LENGTH, MODELS, ScgarchConfig, fit_model
-from .simulate import Sim1Config, Sim2Config, generate_sim1, generate_sim2
+from .simulate import Sim1Config, Sim2Config, check_count, generate_sim1, generate_sim2
 
 # Base seed for the bias study.  The filter estimate is exactly unbiased
 # by sign symmetry, so the replication average is pure Monte-Carlo noise
@@ -37,9 +37,10 @@ class Sim1BiasConfig:
     noise and true measurement variance, the default prior of
     ``KalmanConfig.default``); the statistic is the mean of the
     filtered-minus-true coefficient over the last ``SIM1_LAST_K`` points,
-    averaged over replications.  No replication, no size, a size below 1
-    or listed twice, a negative base seed, or a walk or measurement
-    variance that ``Sim1Config`` rejects raise ValueError.
+    averaged over replications.  A count that is not an integer, no
+    replication, no size, a size below 1 or listed twice, a negative base
+    seed, or a walk or measurement variance that ``Sim1Config`` rejects
+    raise ValueError.
     """
 
     sizes: tuple[int, ...] = (100, 500, 1000)
@@ -49,11 +50,12 @@ class Sim1BiasConfig:
     meas_var: float = Sim1Config.meas_var
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if not self.sizes or min(self.sizes) < 1 or len(set(self.sizes)) < len(self.sizes):
-            raise ValueError(f"need at least one size, each >= 1 and listed once, "
+        check_count("replications", self.replications)
+        if not self.sizes or len(set(self.sizes)) < len(self.sizes):
+            raise ValueError(f"need at least one size, each listed once, "
                              f"got {self.sizes}")
+        for size in self.sizes:
+            check_count("size", size)
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         Sim1Config(n=1, q_true=self.q_true, meas_var=self.meas_var)
@@ -107,8 +109,9 @@ def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
 class BenchmarkConfig:
     """Settings for the tracking benchmark on the sine-covariance design.
 
-    Fewer than one replication, or panels shorter than the fits accept
-    (``MIN_FIT_PANEL_LENGTH``), raise ValueError.
+    A count that is not an integer, fewer than one replication, or panels
+    shorter than the fits accept (``MIN_FIT_PANEL_LENGTH``) raise
+    ValueError.
     """
 
     replications: int = 20
@@ -119,11 +122,8 @@ class BenchmarkConfig:
     )
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.n < MIN_FIT_PANEL_LENGTH:
-            raise ValueError(f"need panels of at least {MIN_FIT_PANEL_LENGTH} "
-                             f"observations, got n = {self.n}")
+        check_count("replications", self.replications)
+        check_count("n", self.n, MIN_FIT_PANEL_LENGTH)
 
 
 @dataclass

@@ -391,14 +391,13 @@ def bic(total_loglik: float, n: int, p: int) -> float:
     return -2.0 * total_loglik + 3.0 * p * np.log(n)
 
 
-DEFAULT_EXHAUSTIVE_LIMIT = 8
+EXHAUSTIVE_LIMIT = 8
 # Predecessor sets the beam search keeps per set size.
 BEAM_WIDTH = 16
 
 
 def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
-                 model: str = "scgarch", mode: str = "exhaustive",
-                 exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> ScgarchFitResult:
+                 model: str = "scgarch", mode: str = "exhaustive") -> ScgarchFitResult:
     """Fit ``model`` in the variable ordering minimizing its BIC.
 
     All candidate orderings share the same parameter count, so the ranking
@@ -410,12 +409,13 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     ``g(S) + loglik(j, S)`` over its fitted orderings and the prefix that
     gives it, among exactly equal totals the lexicographically smallest.
     Exhaustive mode keeps every set, finding the best of all p! orderings;
-    it fits all p * 2**(p-1) pairs (1,024 at the default limit p = 8) up
-    front in one ``_fit_columns`` call and refuses p above
-    ``exhaustive_limit``.  Beam mode keeps the ``BEAM_WIDTH`` best sets of
-    each size, ties broken by the sorted set, and fits the pairs (j, S) of
-    the kept sets with one ``_fit_columns`` call per size (all below
-    p = 6, 392 pairs at p = 8); it draws no random numbers.
+    it fits all p * 2**(p-1) pairs (1,024 at p = 8) up front in one
+    ``_fit_columns`` call, and for p above ``EXHAUSTIVE_LIMIT`` = 8 it
+    raises TooManyPermutations before any fit.  Beam mode keeps the
+    ``BEAM_WIDTH`` best sets of each size, ties broken by the sorted set,
+    and fits the pairs (j, S) of the kept sets with one ``_fit_columns``
+    call per size (all below p = 6, 392 pairs at p = 8); it draws no
+    random numbers.
 
     Returns the fit in the prefix kept for the full set, assembled from
     the search's column fits: bit for bit the fit ``fit_model`` makes in it.
@@ -424,9 +424,9 @@ def order_by_bic(panel: TimeSeriesPanel, config: ScgarchConfig | None = None, *,
     config = config or ScgarchConfig()
     p = panel.p
     if mode == "exhaustive":
-        if p > exhaustive_limit:
+        if p > EXHAUSTIVE_LIMIT:
             raise TooManyPermutations(
-                f"p={p} exceeds the exhaustive limit {exhaustive_limit}; "
+                f"p={p} exceeds the exhaustive limit {EXHAUSTIVE_LIMIT}; "
                 "use --ordering bic-beam"
             )
         width = None

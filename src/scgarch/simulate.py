@@ -9,6 +9,7 @@ functions of their config and seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,16 @@ import numpy as np
 from .exceptions import NotPositiveDefinite
 from .mcd import PD_RTOL
 from .model import CovariancePath, TimeSeriesPanel
+
+
+def check_count(name: str, value, low: int = 1):
+    """Raise ValueError unless ``value`` is an integer >= ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +39,7 @@ class Sim1Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_count("n", self.n)
         if not (np.isfinite(self.q_true) and self.q_true >= 0):
             raise ValueError(f"q_true must be finite and >= 0, got {self.q_true}")
         if not (np.isfinite(self.meas_var) and self.meas_var > 0):
@@ -51,8 +61,7 @@ class Sim2Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        check_count("n", self.n)
         if len(self.deltas) != 3 or not all(np.isfinite(d) and d > 0 for d in self.deltas):
             raise ValueError("deltas must be three finite positive scales")
         if len(self.diag) != 3 or not all(np.isfinite(v) and v > 0 for v in self.diag):

@@ -50,7 +50,7 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     ["benchmark", "--replications", 0],
     ["fit", "short.csv"],  # fewer rows than a fit needs
     ["evaluate", "cov200.csv", "--truth", "cov100.csv"],
-    ["fit", "panel.csv", "--ordering", "bic-exhaustive", "--bic-limit", 2],
+    ["fit", "wide.csv", "--ordering", "bic-exhaustive"],  # p = 9 > EXHAUSTIVE_LIMIT
     ["benchmark", "--n", 10],
     ["select-block", "panel.csv", "--candidates", 5, 9, "--threshold", "nan"],
     ["select-block", "panel.csv"],  # no --candidates
@@ -60,9 +60,13 @@ def write_iid_panel(path, n, p, seed=0, scale=1.0):
     # --truth reads neither --panel nor --block-size
     ["evaluate", "cov100.csv", "--truth", "cov100.csv", "--block-size", 4,
      "--panel", "missing.csv"],
+    # --moving-block needs both --panel and --block-size
+    ["evaluate", "cov100.csv", "--moving-block", "--block-size", 5],
+    ["evaluate", "cov100.csv", "--moving-block", "--panel", "panel.csv"],
 ])
 def test_rejected_run_creates_no_directory(tmp_path, argv):
     write_iid_panel(tmp_path / "panel.csv", 120, 3, seed=2)
+    write_iid_panel(tmp_path / "wide.csv", 120, 9, seed=2)
     write_iid_panel(tmp_path / "short.csv", 30, 3, seed=2)
     for n in (100, 200):
         io.write_cov_path(tmp_path / f"cov{n}.csv",
@@ -148,17 +152,27 @@ class TestFit:
         first = (out / "ordering.txt").read_text().splitlines()[0]
         assert sorted(first.split()) == ["1", "2"]
 
-    @pytest.mark.parametrize("option", ["--bic-limit"])
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_non_positive_search_size_is_exit_2(self, tmp_path, option, value):
+    def test_several_noise_values_are_the_state_noise_candidates(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        out = tmp_path / "out"
+        assert run("fit", panel_path, "--kalman-q", 1e-5, 1e-3, "--out-dir", out) == 0
+        result = fit_model(io.read_panel(panel_path), "scgarch",
+                           ScgarchConfig(state_noise=(1e-5, 1e-3)))
+        expected = tmp_path / "expected.csv"
+        io.write_cov_path(expected, result.cov_path)
+        assert (out / "cov_path.csv").read_bytes() == expected.read_bytes()
+
+    def test_tuning_with_a_noise_value_is_exit_2(self, tmp_path, capsys):
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 2, seed=1)
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            run("fit", panel_path, "--ordering", "bic-exhaustive", option, value,
+            run("fit", panel_path, "--tune-state-noise", "--kalman-q", 0.5,
                 "--out-dir", out)
         assert exc.value.code == 2
-        assert not (out / "ordering.txt").exists()
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_beam_search_repeats_byte_for_byte(self, tmp_path):
         # p = 9 is above the exhaustive limit; the beam draws no random
@@ -329,6 +343,16 @@ class TestSelectBlock:
         assert len(lines) == 5
         assert sum(row.endswith("true") for row in lines[1:]) == 1
 
+    def test_warns_when_no_candidate_stabilizes(self, tmp_path, capsys):
+        # A zero threshold never stabilizes: the largest width is returned.
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 200, 2, seed=2)
+        assert run("select-block", panel_path, "--candidates", 5, 9, 15,
+                   "--threshold", 0, "--out-dir", tmp_path / "out") == 0
+        captured = capsys.readouterr()
+        assert "warning: no candidate stabilized both losses" in captured.err
+        assert "selected q=15 (stable=False)" in captured.out
+
 
 class TestBenchmark:
     def test_single_replication_deterministic(self, tmp_path):
@@ -365,8 +389,8 @@ class TestBenchmark:
         tuned, fixed = tmp_path / "tuned", tmp_path / "fixed"
         assert run("benchmark", "--out-dir", tuned) == 0
         echo = (tuned / "config.echo").read_text().splitlines()
-        assert not any(line.startswith("kalman_q=") for line in echo)
-        assert f"state_noise={' '.join(io.fmt(q) for q in seen[0])}" in echo
+        assert f"kalman_q={' '.join(io.fmt(q) for q in seen[0])}" in echo
+        assert not any(line.startswith("state_noise=") for line in echo)
 
         assert run("benchmark", "--kalman-q", 0.5, "--out-dir", fixed) == 0
         echo = (fixed / "config.echo").read_text().splitlines()
@@ -437,13 +461,12 @@ class TestConfigFile:
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 2, seed=1)
         tuned, fixed = tmp_path / "tuned", tmp_path / "fixed"
-        assert run("fit", panel_path, "--tune-state-noise", "--kalman-q", 0.5,
-                   "--out-dir", tuned) == 0
+        assert run("fit", panel_path, "--tune-state-noise", "--out-dir", tuned) == 0
         echo = (tuned / "config.echo").read_text().splitlines()
-        assert not any(line.startswith("kalman_q=") for line in echo)
         grid = " ".join(io.fmt(q) for q in model.DEFAULT_TUNE_GRID)
-        assert f"state_noise={grid}" in echo
-        assert "tune_state_noise=True" in echo
+        assert f"kalman_q={grid}" in echo
+        assert not any(line.startswith(("state_noise=", "tune_state_noise="))
+                       for line in echo)
 
         assert run("fit", panel_path, "--kalman-q", 0.5, "--out-dir", fixed) == 0
         echo = (fixed / "config.echo").read_text().splitlines()
@@ -491,14 +514,17 @@ class TestConfigFile:
         ("evaluate", ["--truth", "truth/truth_cov.csv"]),
         ("select-block", ["--candidates", 5, 11, 21]),
         ("simulate", ["--n", 64, "--deltas", 64, 32, 16]),
-    ], ids=["fit-fixed", "fit-tuned", "evaluate-truth", "select-block", "simulate-sim2"])
+        ("benchmark", ["--replications", 1, "--n", 128]),
+    ], ids=["fit-fixed", "fit-tuned", "evaluate-truth", "select-block", "simulate-sim2",
+            "benchmark"])
     def test_echo_reruns_the_command(self, tmp_path, monkeypatch, command, flags):
         monkeypatch.chdir(tmp_path)
         write_iid_panel(tmp_path / "panel.csv", 400, 2, seed=4)
         assert run("simulate", "sim2", "--n", 64, "--out-dir", "truth") == 0
         assert run("simulate", "sim2", "--n", 64, "--seed", 1, "--out-dir", "est") == 0
         positionals = {"fit": ["panel.csv"], "evaluate": ["est/truth_cov.csv"],
-                       "select-block": ["panel.csv"], "simulate": ["sim2"]}[command]
+                       "select-block": ["panel.csv"], "simulate": ["sim2"],
+                       "benchmark": []}[command]
         first, again = tmp_path / "first", tmp_path / "again"
         assert run(command, *positionals, *flags, "--out-dir", first) == 0
         echo = first / "config.echo"
@@ -568,20 +594,76 @@ class TestConfigFile:
         assert not (tmp_path / "dir").exists()
 
     @pytest.mark.parametrize("command", ["fit", "benchmark"])
-    def test_echoed_tuning_grid_sets_nothing(self, tmp_path, command):
+    def test_echoed_tuning_grid_sets_kalman_q(self, tmp_path, command):
         grid = " ".join(io.fmt(q) for q in model.DEFAULT_TUNE_GRID)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"kalman-q = 0.5\nstate_noise = {grid}\n")
+        cfg.write_text(f"kalman_q={grid}\n")
         sub = cli.build_parser()[1][command]
-        assert cli.load_config_overrides(cfg, sub) == {"kalman_q": 0.5}
+        assert cli.load_config_overrides(cfg, sub) == {
+            "kalman_q": list(model.DEFAULT_TUNE_GRID)}
+
+    @pytest.mark.parametrize("text, expected", [
+        ("tune-state-noise = true", {"kalman_q": model.DEFAULT_TUNE_GRID}),
+        # a fixed-noise echo written while tuning had an option of its own
+        ("kalman_q=0.01\ntune_state_noise=False", {"kalman_q": [0.01]}),
+        ("two-pass = false", {}),
+    ])
+    def test_flag_line_stores_the_flag_s_value(self, tmp_path, text, expected):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        assert cli.load_config_overrides(cfg, cli.build_parser()[1]["fit"]) == expected
+
+    def test_tuning_from_a_config_file(self, tmp_path):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tune-state-noise = true\n")
+        from_file, from_flag = tmp_path / "file", tmp_path / "flag"
+        assert run("fit", panel_path, "--config", cfg, "--out-dir", from_file) == 0
+        assert run("fit", panel_path, "--tune-state-noise", "--out-dir", from_flag) == 0
+        assert ((from_file / "cov_path.csv").read_bytes()
+                == (from_flag / "cov_path.csv").read_bytes())
 
     def test_other_state_noise_grid_is_exit_2(self, tmp_path, capsys):
+        # A tuned echo written while the grid had a line of its own must be
+        # converted: its state_noise line names no option.
         panel_path = tmp_path / "panel.csv"
         write_iid_panel(panel_path, 120, 2, seed=1)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("state_noise = 0.001 0.01\n")
         assert run("fit", panel_path, "--config", cfg, "--out-dir", tmp_path / "o") == 2
-        assert f"{cfg}, line 1: option 'state_noise'" in capsys.readouterr().err
+        assert (f"{cfg}, line 1: unknown option 'state_noise'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("kalman-q 0.5", "line 2: expected key=value"),
+        ("kalman-q =", "line 2: option 'kalman-q': expected at least one value"),
+        ("model = garch", "line 2: option 'model': 'garch' not in"),
+        ("tune-state-noise = true", "line 2: option 'tune-state-noise': sets "
+                                    "kalman_q, as line 1 does"),
+        ("kalman-q = 0.2", "line 2: option 'kalman-q': sets kalman_q, as line 1 does"),
+    ])
+    def test_bad_line_is_exit_2_naming_file_and_line(self, tmp_path, capsys, text,
+                                                     message):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"kalman_q = 0.1\n{text}\n")
+        out = tmp_path / "out"
+        assert run("fit", panel_path, "--config", cfg, "--out-dir", out) == 2
+        assert f"{cfg}, {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unreadable_config_file_is_exit_2(self, tmp_path, capsys):
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 2, seed=1)
+        out = tmp_path / "out"
+        missing = tmp_path / "missing.cfg"
+        assert run("fit", panel_path, "--config", missing, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and str(missing) in err
+        assert not out.exists()
 
 
 class TestExperimentJobs:
@@ -627,6 +709,30 @@ def test_sim1_bias_config_rejects_out_of_range(settings):
         Sim1BiasConfig(**settings)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Sim1Config(n=5.5),
+    lambda: Sim2Config(n=40.5),
+    lambda: BenchmarkConfig(n=60.5),
+    lambda: BenchmarkConfig(replications=1.5),
+    lambda: Sim1BiasConfig(sizes=(5.5,)),
+    lambda: Sim1BiasConfig(replications=1.5),
+], ids=["Sim1Config.n", "Sim2Config.n", "BenchmarkConfig.n",
+        "BenchmarkConfig.replications", "Sim1BiasConfig.sizes",
+        "Sim1BiasConfig.replications"])
+def test_count_must_be_an_integer(make):
+    # Rejected when the config is made, not by numpy once generation starts.
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_counts_are_accepted():
+    count = np.int64(64)
+    Sim1Config(n=count)
+    Sim2Config(n=count)
+    BenchmarkConfig(n=count, replications=np.int64(2))
+    Sim1BiasConfig(sizes=(count,), replications=count)
+
+
 @pytest.mark.parametrize("command, dest, expected", [
     ("simulate", "n", Sim2Config().n),
     ("simulate", "deltas", Sim2Config().deltas),
@@ -634,7 +740,7 @@ def test_sim1_bias_config_rejects_out_of_range(settings):
     ("simulate", "q_true", Sim1Config(n=1).q_true),
     ("simulate", "meas_var", Sim1Config(n=1).meas_var),
     ("fit", "kalman_kappa", ScgarchConfig().kappa),
-    ("fit", "kalman_q", ScgarchConfig().state_noise[0]),
+    ("fit", "kalman_q", ScgarchConfig().state_noise),
     ("benchmark", "kalman_kappa", ScgarchConfig().kappa),
     ("benchmark", "replications", BenchmarkConfig().replications),
     ("benchmark", "n", BenchmarkConfig().n),
@@ -643,6 +749,7 @@ def test_sim1_bias_config_rejects_out_of_range(settings):
     ("sim1_consistency.py", "base_seed", Sim1BiasConfig().base_seed),
     ("sim1_consistency.py", "q_true", Sim1BiasConfig().q_true),
     ("sim1_consistency.py", "meas_var", Sim1BiasConfig().meas_var),
+    ("benchmark", "kalman_q", BenchmarkConfig().fit.state_noise),
 ])
 def test_parser_default_is_the_config_default(script, command, dest, expected):
     if command == "sim1_consistency.py":

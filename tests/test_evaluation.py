@@ -177,3 +177,15 @@ class TestSelectBlockSize:
         assert [r.q for r in sel.table] == [5, 11, 21]
         assert all(r.mae >= 0 and r.mse >= 0 for r in sel.table)
         assert all(r.mae_diff is not None for r in sel.table[1:])
+
+
+def test_unknown_scale_is_rejected():
+    with pytest.raises(ValueError, match="scale must be one of"):
+        loss_paths(path_from(np.zeros((3, 2, 2))), path_from(np.zeros((3, 2, 2))),
+                   scale="bogus")
+
+
+def test_no_candidate_is_rejected():
+    panel = TimeSeriesPanel(np.random.default_rng(2).standard_normal((40, 2)))
+    with pytest.raises(ValueError, match="at least one candidate"):
+        select_block_size(panel, [])

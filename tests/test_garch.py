@@ -381,3 +381,15 @@ class TestSimulate:
         b = simulate_garch(GarchParams(0.1, 0.1, 0.8), 100, seed=5)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_fit_rejects_a_missing_value():
+    eps, _ = simulate_garch(GarchParams(0.1, 0.1, 0.8), 200, seed=1)
+    eps[5] = np.nan
+    with pytest.raises(InvalidParameters, match="non-finite"):
+        garch_fit(eps)
+
+
+def test_unit_persistence_has_no_unconditional_variance():
+    with pytest.raises(InvalidParameters, match="persistence < 1"):
+        GarchParams(0.1, 0.5, 0.5).unconditional_variance

@@ -358,3 +358,10 @@ def test_cov_path_write_streams_in_chunks(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "cov.csv").stat().st_size > 2_000_000
     assert peak < 2_000_000
+
+
+def test_header_only_panel_is_rejected(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("a,b\n")
+    with pytest.raises(PanelFormatError, match="no data rows"):
+        io.read_panel(path)

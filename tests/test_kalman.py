@@ -426,3 +426,29 @@ class TestTuneStateNoise:
             tune_state_noise([1.0], [[1.0]], scalar_cfg(), [])
         with pytest.raises(ValueError):
             tune_state_noise([1.0], [[1.0]], scalar_cfg(), [-0.1])
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(state_dim=0, p0=np.eye(1), q=np.eye(1)), "state_dim"),
+    (dict(p0=np.eye(3)), "p0 must have shape"),
+    (dict(q=np.ones(2)), "q must have shape"),
+    (dict(p0=np.array([[1.0, 0.5], [0.0, 1.0]])), "p0 must be symmetric"),
+    (dict(q=np.array([[1.0, 0.5], [0.0, 1.0]])), "q must be symmetric"),
+    (dict(p0=np.array([[1.0, 2.0], [2.0, 1.0]])), "p0 must be positive semidefinite"),
+    (dict(q=-np.eye(2)), "q must be positive semidefinite"),
+], ids=["zero-dim", "p0-shape", "q-shape", "p0-asymmetric", "q-asymmetric",
+        "p0-indefinite", "q-indefinite"])
+def test_config_rejects_bad_prior_or_noise(settings, message):
+    kwargs = dict(state_dim=2, phi0=np.zeros(2), p0=np.eye(2), q=0.1 * np.eye(2),
+                  meas_var=1.0)
+    with pytest.raises(DimensionMismatch, match=message):
+        KalmanConfig(**{**kwargs, **settings})
+
+
+@pytest.mark.parametrize("y, x, message", [
+    ([], np.zeros((0, 1)), "at least one observation"),
+    ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]], "does not match"),
+], ids=["empty", "x-shape"])
+def test_filter_rejects_empty_or_mis_shaped_data(y, x, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        filter_regression(y, x, scalar_cfg())

@@ -412,10 +412,14 @@ class TestOrdering:
         ]
         assert abs(scores[0] - scores[1]) < 0.05 * abs(scores[0])
 
-    def test_exhaustive_limit(self):
-        panel = iid_panel(100, np.ones(3), seed=0)
-        with pytest.raises(TooManyPermutations):
-            order_by_bic(panel, exhaustive_limit=2)
+    def test_exhaustive_limit(self, monkeypatch):
+        # p = 9 is above EXHAUSTIVE_LIMIT: refused before any fit.
+        def no_fit(*args):
+            raise AssertionError("a column was fitted")
+        monkeypatch.setattr(model, "_fit_columns", no_fit)
+        panel = iid_panel(100, np.ones(9), seed=0)
+        with pytest.raises(TooManyPermutations, match="bic-beam"):
+            order_by_bic(panel)
 
     def test_recovers_causal_order_in_majority(self):
         hits = 0
@@ -643,3 +647,8 @@ class TestContainers:
         assert fit_model(panel, "cgarch").model == "cgarch"
         with pytest.raises(ValueError):
             fit_model(panel, "unknown")
+
+
+def test_repeated_variable_in_ordering_is_rejected():
+    with pytest.raises(DimensionMismatch, match="not a permutation"):
+        fit_model(iid_panel(60, [1.0, 1.0, 1.0], seed=0), "cgarch", ordering=(0, 0, 1))
