@@ -87,38 +87,67 @@ def _loop_ar1(x, beta, first=0.0):
 
 
 class TestAr1:
-    # The LAPACK solve may round each step once where this loop rounds
-    # twice, and its bits depend on the BLAS kernel the CPU selects, so
-    # the tolerance is relative.
+    # The blocked solve sums each step's terms in another order than this
+    # loop, through matrix products whose bits depend on the BLAS kernel
+    # the CPU selects, so the tolerance is relative.
     BETAS = np.unique(np.r_[0.0, _GRID_BETAS, 1.0 - 1e-6])
 
-    @pytest.mark.parametrize("n", [1, 2, 2048])
+    # 17 and 1021 have no divisor near their square root, so their last
+    # block is short; 1000 and 2048 have one
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 1021, 2048])
     @pytest.mark.parametrize("rows", [None, 2, 3])
     def test_matches_loop_in_callers_buffer(self, n, rows):
+        # the caller's buffer is read, and left as it was
         rng = np.random.default_rng(n)
         first = 1.7 if rows is None else 0.0
         for beta in self.BETAS:
             x = rng.uniform(0.5, 2.0, n if rows is None else (rows, n))
             buf = x.copy()
-            assert _ar1(buf, beta, first) is buf
-            np.testing.assert_allclose(buf, _loop_ar1(x, beta, first), rtol=1e-13,
+            y = _ar1(buf, beta, first)
+            np.testing.assert_array_equal(buf, x)
+            np.testing.assert_allclose(y, _loop_ar1(x, beta, first), rtol=1e-13,
+                                       err_msg=f"beta = {beta}")
+
+    @pytest.mark.parametrize("n", [3, 17, 1021])
+    @pytest.mark.parametrize("shape", [(), (2,)])
+    def test_one_beta_per_row_matches_scalar_solves(self, n, shape):
+        x = np.random.default_rng(n).uniform(0.5, 2.0, (self.BETAS.shape[0], *shape, n))
+        y = _ar1(x, self.BETAS)
+        assert y.shape == x.shape
+        for row, beta in enumerate(self.BETAS):
+            np.testing.assert_allclose(y[row], _ar1(x[row], beta), rtol=1e-13,
                                        err_msg=f"beta = {beta}")
 
     def test_presample_term_reaches_every_step(self):
         np.testing.assert_array_equal(_ar1(np.zeros(3), 0.5, 8.0), [4.0, 2.0, 1.0])
 
-    def test_view_that_cannot_be_solved_in_place_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            _ar1(np.ones((4, 3)).T, 0.5)
-        with pytest.raises(np.linalg.LinAlgError):
-            _ar1(np.ones(8)[::2], 0.5)
+    def test_strided_views_solve_like_their_copies(self):
+        for x in (np.arange(12.0).reshape(4, 3).T, np.arange(16.0)[::2]):
+            np.testing.assert_array_equal(_ar1(x, 0.5), _ar1(x.copy(), 0.5))
 
     def test_overflowing_driver_propagates_without_warning(self):
         x = np.array([1.0, 1e308, 1e308, 1.0])
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            _ar1(x, 0.9)
-        assert np.isfinite(x[:2]).all() and np.isposinf(x[2:]).all()
+            y = _ar1(x, 0.9)
+        np.testing.assert_array_equal(y[:2], _loop_ar1(x[:2], 0.9))
+        assert np.isposinf(y[2:]).all()
+
+    @pytest.mark.parametrize("n", [17, 1000])
+    @pytest.mark.parametrize("rows", [None, 2])
+    def test_infinite_input_leaves_earlier_steps_finite(self, n, rows):
+        # in a block product, 0 * inf would turn the steps before an
+        # infinite input inside its block into nan
+        rng = np.random.default_rng(n)
+        for at in np.unique(np.linspace(1, n - 1, 17).astype(int)):
+            x = rng.uniform(0.5, 2.0, n if rows is None else (rows, n))
+            x[..., at] = np.inf
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                y = _ar1(x, 0.9, 1.0)
+            np.testing.assert_allclose(y[..., :at], _loop_ar1(x[..., :at], 0.9, 1.0),
+                                       rtol=1e-13, err_msg=f"inf at {at}")
+            assert np.isposinf(y[..., at:]).all(), f"inf at {at}"
 
 
 @settings(max_examples=80, deadline=None)
