@@ -3,12 +3,12 @@
 regression coefficient versus sample size, averaged over replications.
 
 Example:
-    python3 scripts/sim1_consistency.py --replications 1000 --jobs 2
+    python3 scripts/sim1_consistency.py --replications 1000
 """
 
 import argparse
 
-from scgarch.cli import job_count, uint64
+from scgarch.cli import uint64
 from scgarch.experiments import Sim1BiasConfig, run_sim1_bias
 
 
@@ -20,8 +20,6 @@ def build_parser():
     ap.add_argument("--base-seed", type=uint64, default=Sim1BiasConfig.base_seed)
     ap.add_argument("--q-true", type=float, default=Sim1BiasConfig.q_true)
     ap.add_argument("--meas-var", type=float, default=Sim1BiasConfig.meas_var)
-    ap.add_argument("--jobs", type=job_count, default=1,
-                    help="worker processes (1 to the CPU count)")
     return ap
 
 
@@ -38,7 +36,7 @@ def main(argv=None):
         )
     except ValueError as exc:
         ap.error(str(exc))
-    biases = run_sim1_bias(cfg, jobs=args.jobs)
+    biases = run_sim1_bias(cfg)
     print(f"{'n':>8s} {'mean bias':>14s}   ({args.replications} replications)")
     for n, b in biases.items():
         print(f"{n:8d} {b:14.7f}")

@@ -64,29 +64,6 @@ EXIT_NUMERICAL = 3
 EXIT_BENCHMARK_FAILED = 4
 
 
-class _Subcommand(argparse.ArgumentParser):
-    """A subcommand parser that records its options by long flag name
-    (``kalman_q`` for ``--kalman-q``) and the names of its positional
-    arguments, for ``--config``."""
-
-    def __init__(self, *args, **kwargs):
-        self.options = {}
-        self.positionals = set()
-        super().__init__(*args, **kwargs)
-
-    def _add_action(self, action):
-        # Members of an argument group reach the parser here, not through
-        # ``add_argument``.
-        action = super()._add_action(action)
-        if not action.option_strings:
-            self.positionals.add(action.dest)
-        elif action.dest not in ("help", "config"):
-            for flag in action.option_strings:
-                if flag.startswith("--"):
-                    self.options[flag[2:].replace("-", "_")] = action
-        return action
-
-
 def uint64(value) -> int:
     seed = int(value)
     if not 0 <= seed < 2**64:
@@ -256,8 +233,7 @@ def build_parser():
         description="Time-varying covariance estimation with Cholesky-"
                     "parameterized regressions and GARCH variances",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True,
-                                       parser_class=_Subcommand)
+    subparsers = parser.add_subparsers(dest="command", required=True)
 
     sim = subparsers.add_parser("simulate", help="generate synthetic data")
     sim.add_argument("kind", choices=["sim1", "sim2"])
@@ -355,7 +331,7 @@ def _option_value(action, raw: str):
     return value
 
 
-def load_config_overrides(path, sub: _Subcommand) -> dict:
+def load_config_overrides(path, sub: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into argparse defaults for one subcommand.
 
     Keys are long flag names, with ``-`` or ``_``.  A flag set to true
@@ -373,6 +349,10 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read config file: {exc}")
+    positionals = {action.dest for action in sub._actions if not action.option_strings}
+    options = {flag[2:].replace("-", "_"): action for action in sub._actions
+               if action.dest not in ("help", "config")
+               for flag in action.option_strings if flag.startswith("--")}
     for lineno, line in enumerate(lines, 1):
         text = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not text:
@@ -381,9 +361,9 @@ def load_config_overrides(path, sub: _Subcommand) -> dict:
             raise ValueError(f"{path}, line {lineno}: expected key=value")
         key, raw = (part.strip() for part in text.split("=", 1))
         dest = key.replace("-", "_")
-        if dest == "config" or dest in sub.positionals:
+        if dest == "config" or dest in positionals:
             continue
-        action = sub.options.get(dest)
+        action = options.get(dest)
         if action is None:
             raise ValueError(f"{path}, line {lineno}: unknown option '{key}'")
         where = f"{path}, line {lineno}: option '{key}'"

@@ -1,8 +1,8 @@
 """Reusable experiment drivers: coefficient-bias study and model benchmark.
 
 Both experiments derive one seed per replication from a base seed, so a
-run is reproducible from its configuration alone.  Replications are
-independent and can be distributed over worker processes.
+run is reproducible from its configuration alone.  The bias study runs
+in this process; benchmark replications can go to worker processes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .evaluation import SCALES, loss_paths
 from .exceptions import ScgarchError
-from .kalman import KalmanConfig, filter_regression
+from .kalman import KalmanConfig, _gain_filter
 from .model import DEFAULT_TUNE_GRID, MIN_FIT_PANEL_LENGTH, MODELS, ScgarchConfig, fit_model
 from .simulate import Sim1Config, Sim2Config, check_count, generate_sim1, generate_sim2
 
@@ -26,6 +26,9 @@ from .simulate import Sim1Config, Sim2Config, check_count, generate_sim1, genera
 # sample size at both the 200- and the 1000-replication scale.
 SIM1_BASE_SEED = 615
 SIM1_LAST_K = 10  # final points of each panel that the bias averages over
+# Replications filtered per batched pass.  A fixed block keeps memory flat
+# in the replication count; smaller blocks run slower.
+SIM1_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -69,40 +72,52 @@ def check_jobs(jobs: int) -> int:
     return jobs
 
 
-def _replicate(task, items, jobs: int, chunksize: int = 1) -> list:
+def _replicate(task, items, jobs: int) -> list:
     """``[task(item) for item in items]`` over ``jobs`` worker processes
-    (1 to the CPU count, 1 runs here), ``chunksize`` items per task."""
+    (1 to the CPU count, 1 runs here)."""
     check_jobs(jobs)
     if jobs == 1:
         return [task(item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, items, chunksize=chunksize))
+        return list(pool.map(task, items))
 
 
-def _sim1_single_bias(cfg: Sim1BiasConfig, n_seed: tuple[int, int]) -> float:
-    n, seed = n_seed
-    data = generate_sim1(Sim1Config(n=n, q_true=cfg.q_true,
-                                    meas_var=cfg.meas_var, seed=seed))
+def _sim1_block_biases(cfg: Sim1BiasConfig, n: int, seeds) -> np.ndarray:
+    """Terminal bias of each replication in ``seeds`` at sample size ``n``
+    from one batched Kalman pass, bit for bit that of its own
+    ``filter_regression`` run (see ``kalman._gain_filter``)."""
+    runs = [generate_sim1(Sim1Config(n=n, q_true=cfg.q_true, meas_var=cfg.meas_var,
+                                     seed=seed)) for seed in seeds]
     kcfg = KalmanConfig.default(1, meas_var=cfg.meas_var, state_noise=cfg.q_true)
-    run = filter_regression(data.y, data.x.reshape(-1, 1), kcfg)
-    return float(np.mean(run.phi_path[-SIM1_LAST_K:, 0]
-                         - data.phi_true[-SIM1_LAST_K:]))
+    _, _, phi_path, _ = _gain_filter(
+        np.column_stack([run.y for run in runs]),
+        np.column_stack([run.x for run in runs])[:, :, None],
+        kcfg.phi0, kcfg.p0, np.broadcast_to(kcfg.q, (len(runs), 1, 1)),
+        np.full((n, 1), kcfg.meas_var), keep_phi=True)
+    phi_true = np.column_stack([run.phi_true[-SIM1_LAST_K:] for run in runs])
+    # One contiguous row per replication: numpy then sums each row as it
+    # sums a single replication's array.
+    errors = np.ascontiguousarray((phi_path[-SIM1_LAST_K:, :, 0] - phi_true).T)
+    return np.mean(errors, axis=1)
 
 
-def run_sim1_bias(cfg: Sim1BiasConfig | None = None, jobs: int = 1
-                  ) -> dict[int, float]:
+def run_sim1_bias(cfg: Sim1BiasConfig | None = None) -> dict[int, float]:
     """Mean terminal bias per sample size, averaged over replications.
 
     Replication ``r`` of the ``i``-th sample size uses seed
-    ``base_seed + i * replications + r``.  ``jobs`` worker processes
-    (1 to the CPU count) share the replications.
+    ``base_seed + i * replications + r``.  The replications of one size
+    are filtered ``SIM1_BLOCK`` at a time, so memory does not grow with
+    their count.
     """
     cfg = cfg or Sim1BiasConfig()
-    tasks = [(n, cfg.base_seed + i * cfg.replications + r)
-             for i, n in enumerate(cfg.sizes) for r in range(cfg.replications)]
-    biases = _replicate(partial(_sim1_single_bias, cfg), tasks, jobs, chunksize=16)
-    return {n: float(np.mean(biases[i * cfg.replications:(i + 1) * cfg.replications]))
-            for i, n in enumerate(cfg.sizes)}
+    reps = cfg.replications
+    biases = {}
+    for i, n in enumerate(cfg.sizes):
+        seeds = range(cfg.base_seed + i * reps, cfg.base_seed + (i + 1) * reps)
+        blocks = [_sim1_block_biases(cfg, n, seeds[start:start + SIM1_BLOCK])
+                  for start in range(0, reps, SIM1_BLOCK)]
+        biases[n] = float(np.mean(np.concatenate(blocks)))
+    return biases
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ kernel directly: all the regressions of one predecessor-set size at
 every candidate in one pass, the one-predecessor regressions zero-padded
 into the two-predecessor pass (padding one regressor is exact, see
 ``_gain_filter``), keeping coefficient paths but, unlike
-``filter_regression``, no covariance paths.
+``filter_regression``, no covariance paths.  So does the coefficient-bias
+study in ``experiments``, a block of its d = 1 replications per pass.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ import pytest
 from scgarch import cli, experiments, io, model
 from scgarch.cli import main
 from scgarch.experiments import (
+    SIM1_LAST_K,
     BenchmarkConfig,
     BenchmarkResult,
     BenchmarkRow,
@@ -17,9 +18,10 @@ from scgarch.experiments import (
     run_sim1_bias,
 )
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
+from scgarch.kalman import KalmanConfig, filter_regression
 from scgarch.mcd import is_positive_definite
 from scgarch.model import CovariancePath, ScgarchConfig, TimeSeriesPanel, fit_model
-from scgarch.simulate import Sim1Config, Sim2Config
+from scgarch.simulate import Sim1Config, Sim2Config, generate_sim1
 
 
 SIM1_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "sim1_consistency.py"
@@ -675,9 +677,7 @@ class TestExperimentJobs:
             raise AssertionError("a process pool was created")
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
 
-    @pytest.mark.parametrize("argv", [["--jobs", "0"], ["--jobs", "-1"],
-                                      ["--jobs", str((os.cpu_count() or 1) + 1)],
-                                      ["--replications", "0"], ["--sizes", "0"],
+    @pytest.mark.parametrize("argv", [["--replications", "0"], ["--sizes", "0"],
                                       ["--base-seed", "-1"], ["--sizes", "20", "20"],
                                       ["--q-true", "nan"], ["--meas-var", "inf"]])
     def test_script_rejects_out_of_range(self, script, no_pool, argv):
@@ -688,16 +688,32 @@ class TestExperimentJobs:
     @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
     def test_experiments_reject_out_of_range(self, no_pool, jobs):
         with pytest.raises(ValueError, match="jobs"):
-            run_sim1_bias(Sim1BiasConfig(sizes=(20,), replications=2), jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
             run_benchmark(BenchmarkConfig(replications=1, n=128), jobs=jobs)
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
     def test_worker_processes_match_this_process(self):
         bench = BenchmarkConfig(replications=2, n=128)
         assert run_benchmark(bench, jobs=2) == run_benchmark(bench, jobs=1)
-        sim1 = Sim1BiasConfig(sizes=(20, 40), replications=32)
-        assert run_sim1_bias(sim1, jobs=2) == run_sim1_bias(sim1, jobs=1)
+
+
+@pytest.mark.parametrize("cfg", [
+    Sim1BiasConfig(sizes=(1, 5, 11), replications=7, q_true=0.0, meas_var=3.0),
+    Sim1BiasConfig(sizes=(30,), replications=2 * experiments.SIM1_BLOCK + 3),
+], ids=["sizes-around-last-k", "three-blocks"])
+def test_sim1_bias_is_the_mean_of_single_regression_runs(cfg):
+    # Oracle: one filter_regression run per replication, bit for bit.
+    kcfg = KalmanConfig.default(1, meas_var=cfg.meas_var, state_noise=cfg.q_true)
+    expected = {}
+    for i, n in enumerate(cfg.sizes):
+        biases = []
+        for r in range(cfg.replications):
+            data = generate_sim1(Sim1Config(n=n, q_true=cfg.q_true, meas_var=cfg.meas_var,
+                                            seed=cfg.base_seed + i * cfg.replications + r))
+            run = filter_regression(data.y, data.x.reshape(-1, 1), kcfg)
+            biases.append(float(np.mean(run.phi_path[-SIM1_LAST_K:, 0]
+                                        - data.phi_true[-SIM1_LAST_K:])))
+        expected[n] = float(np.mean(biases))
+    assert run_sim1_bias(cfg) == expected
 
 
 @pytest.mark.parametrize("settings", [dict(replications=0), dict(sizes=()),

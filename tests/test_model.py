@@ -10,13 +10,14 @@ from scgarch import model
 from scgarch.exceptions import (
     DegenerateSeries,
     DimensionMismatch,
+    InvalidParameters,
     PipelineError,
     TooManyPermutations,
 )
-from scgarch.garch import GarchParams, garch_fit, garch_loglik, simulate_garch
+from scgarch.garch import GarchParams, garch_filter, garch_fit, garch_loglik, simulate_garch
 from scgarch.kalman import KalmanConfig, filter_regression, tune_state_noise
 from scgarch.kalman import _gain_filter
-from scgarch.mcd import mcd_reconstruct
+from scgarch.mcd import mcd_decompose, mcd_reconstruct
 from scgarch.model import (
     CovariancePath,
     ScgarchConfig,
@@ -652,3 +653,22 @@ class TestContainers:
 def test_repeated_variable_in_ordering_is_rejected():
     with pytest.raises(DimensionMismatch, match="not a permutation"):
         fit_model(iid_panel(60, [1.0, 1.0, 1.0], seed=0), "cgarch", ordering=(0, 0, 1))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: garch_filter(GarchParams(0.1, 0.1, 0.8), [], 1.0),
+     InvalidParameters, "at least one observation"),
+    (lambda: mcd_decompose(np.eye(2, 3)), DimensionMismatch, "square matrix"),
+    (lambda: mcd_decompose(np.ones(3)), DimensionMismatch, "square matrix"),
+    (lambda: mcd_reconstruct(np.eye(2, 3), np.ones(2)), DimensionMismatch,
+     "square matrices"),
+    (lambda: TimeSeriesPanel(np.ones(5)), DimensionMismatch, "2-d"),
+    (lambda: TimeSeriesPanel(np.ones((5, 2, 2))), DimensionMismatch, "2-d"),
+    (lambda: CovariancePath(np.ones((4, 2, 3))), DimensionMismatch, "n, p, p"),
+    (lambda: CovariancePath(np.eye(2)), DimensionMismatch, "n, p, p"),
+], ids=["garch_filter-empty", "mcd_decompose-non-square", "mcd_decompose-1d",
+        "mcd_reconstruct-non-square", "panel-1d", "panel-3d", "cov_path-non-square",
+        "cov_path-2d"])
+def test_input_guard_raises_typed_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
