@@ -15,6 +15,10 @@ class NotPositiveDefinite(ScgarchError):
     """A matrix required to be positive definite is not."""
 
 
+class NotUnitLowerTriangular(ScgarchError):
+    """A matrix required to be unit lower triangular is not."""
+
+
 class NonPositiveDiagonal(ScgarchError):
     """A covariance matrix has a non-positive diagonal entry."""
 

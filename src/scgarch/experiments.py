@@ -8,7 +8,6 @@ in this process; benchmark replications can go to worker processes.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -78,6 +77,8 @@ def _replicate(task, items, jobs: int) -> list:
     check_jobs(jobs)
     if jobs == 1:
         return [task(item) for item in items]
+    # Imported here: loading multiprocessing costs every other command memory.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(task, items))
 

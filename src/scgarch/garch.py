@@ -454,6 +454,12 @@ def _descend(objective, theta):
     return theta, f, g, nit
 
 
+# Bytes of the two driver paths of the beta grid rows evaluated at once:
+# 16 rows up to n = 512, then fewer, so that the grid's working set does
+# not grow past a few such blocks with n.
+_GRID_BLOCK_BYTES = 128 * 1024
+
+
 # where squares overflow or underflow, f is nan or inf on every row and no
 # row is a start
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -462,15 +468,31 @@ def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
     negated log-likelihood, profiled over (omega, alpha), is below the
     previous row's and no larger than the next row's.
 
+    The rows are profiled in blocks (``_grid_profile``) whose driver paths
+    fit ``_GRID_BLOCK_BYTES``.  A row's result comes from its own products
+    and row sums, so it does not depend on the block it is in.
+    """
+    rows = max(1, _GRID_BLOCK_BYTES // (2 * e2.itemsize * e2.shape[0]))
+    theta, f = map(np.concatenate, zip(*(
+        _grid_profile(_GRID_BETAS[i:i + rows], e2, e2_lag, sigma2_init)
+        for i in range(0, _GRID_BETAS.shape[0], rows))))
+    padded = np.r_[np.inf, f, np.inf]
+    local = (f < padded[:-2]) & (f <= padded[2:])
+    return np.column_stack([theta, _GRID_BETAS])[local]
+
+
+def _grid_profile(betas, e2, e2_lag, sigma2_init) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, alpha) fitted at each beta of ``betas``, and the negated
+    log-likelihood there.
+
     At a fixed beta, s2[t] = omega * c[t] + alpha * h[t] + beta**(t+1) *
     sigma2_init, with c[t] = (1 - beta**(t+1)) / (1 - beta) and h the
     lagged squares run through the recursion; one ``_ar1_solver`` solve
-    of every grid row at once gives both.  All rows take ``_GRID_STEPS``
+    of every row at once gives both.  All rows take ``_GRID_STEPS``
     Fisher-scoring steps at once; a step that would take alpha past 0 or
     1 - STATIONARITY_MARGIN - beta stops it there, and omega takes the
     best step of the quadratic model at that alpha.
     """
-    betas = _GRID_BETAS
     paths = np.empty((betas.shape[0], 2, e2.shape[0]))
     paths[:, 0] = 1.0
     paths[:, 1] = e2_lag
@@ -494,10 +516,7 @@ def _grid_starts(e2, e2_lag, sigma2_init) -> np.ndarray:
         theta[:, 0] = np.maximum(omega, _FRACTION_TO_BOUNDARY * theta[:, 0])
         theta[:, 1] = alpha
     s2 = ((theta - shift)[:, None, :] @ paths)[:, 0] + sigma2_init
-    f = np.sum(np.log(s2) + e2 / s2, axis=1)
-    padded = np.r_[np.inf, f, np.inf]
-    local = (f < padded[:-2]) & (f <= padded[2:])
-    return np.column_stack([theta, betas])[local]
+    return theta, np.sum(np.log(s2) + e2 / s2, axis=1)
 
 
 def _kkt_holds(theta, g) -> bool:

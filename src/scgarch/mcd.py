@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotPositiveDefinite
+from .exceptions import DimensionMismatch, NotPositiveDefinite, NotUnitLowerTriangular
 
 # Relative floor for the smallest eigenvalue in the PD test: scale-free,
 # so well-conditioned matrices with large entries are not rejected.
@@ -81,10 +81,20 @@ def mcd_reconstruct(t, d) -> np.ndarray:
     """Rebuild covariance matrices from their decompositions.
 
     ``t`` is (..., p, p) and ``d`` is (..., p), with any leading batch
-    axes (a path of n steps is (n, p, p) and (n, p)).  Returns
+    axes (a path of n steps is (n, p, p) and (n, p)); ``t`` may be a
+    read-only broadcast view, which is read without a copy.  Returns
     ``inv(t) @ diag(d) @ inv(t).T`` per matrix, which is symmetric
     positive definite for any unit lower triangular ``t`` and positive
     ``d``.
+
+    No inverse is formed: with phi_k = -t[k, :k], the regression of
+    variable k on the variables before it, row k of the result is
+    ``phi_k @ sigma[:k, :k]`` and its diagonal entry is that row times
+    phi_k plus d[k].  The rows are built in turn, entry by entry, each
+    entry vectorized over the batch and written into both triangles, so
+    the result is bitwise symmetric.  Only the strict lower triangle of
+    ``t`` enters the sums, so each row is checked before it is read: a
+    ``t`` that is not unit lower triangular raises NotUnitLowerTriangular.
     """
     t = np.asarray(t, dtype=float)
     d = np.asarray(d, dtype=float)
@@ -94,6 +104,30 @@ def mcd_reconstruct(t, d) -> np.ndarray:
         raise DimensionMismatch(
             f"variances of shape {d.shape} do not match matrices {t.shape}"
         )
-    tinv = np.linalg.solve(t, np.broadcast_to(np.eye(t.shape[-1]), t.shape))
-    sigma = np.einsum("...ik,...k,...jk->...ij", tinv, d, tinv)
-    return 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
+    sigma = np.empty(t.shape)
+    # Every step below reads and writes one entry across the batch, with
+    # products and checks in these two scratch arrays: operations on whole
+    # rows, strided across the batch, ran slower and allocated buffers.
+    prod = np.empty(t.shape[:-2])
+    off = np.empty(t.shape[:-2], dtype=bool)
+    for k in range(t.shape[-1]):
+        tk = t[..., k, :]
+        for j in range(k, t.shape[-1]):
+            if np.not_equal(tk[..., j], float(j == k), out=off).any():
+                raise NotUnitLowerTriangular(f"entry ({k + 1}, {j + 1}) of the factor is "
+                                             "not that of a unit lower triangular matrix")
+        # sigma[k, j] = phi_k @ sigma[:k, j] = -(t[k, :k] @ sigma[:k, j])
+        for j in range(k):
+            entry = sigma[..., k, j]
+            np.multiply(tk[..., 0], sigma[..., 0, j], out=entry)
+            for i in range(1, k):
+                entry += np.multiply(tk[..., i], sigma[..., i, j], out=prod)
+            np.negative(entry, out=entry)
+            sigma[..., j, k] = entry
+        # sigma[k, k] = sigma[k, :k] @ phi_k + d[k] = d[k] - sigma[k, :k] @ t[k, :k]
+        var = sigma[..., k, k]
+        var[...] = 0.0
+        for i in range(k):
+            var += np.multiply(sigma[..., k, i], tk[..., i], out=prod)
+        np.subtract(d[..., k], var, out=var)
+    return sigma

@@ -4,15 +4,16 @@
 (1) filter each variable's regression on its predecessors to get
 time-varying coefficient rows of T_t and mutually uncorrelated
 innovations; (2) fit a GARCH(1,1) model to each innovation series, whose
-variance paths are D_t.  The covariance path is assembled per time step
-as ``inv(T_t) @ diag(D_t) @ inv(T_t).T``, positive definite by
-construction, as T_t is unit lower triangular and D_t > 0; neither is
-checked.  ``fit_model(panel, "cgarch")`` is the constant-coefficient
-baseline (static T from the full-sample regressions, GARCH step
-unchanged).  Either model takes the variables in
-panel order unless ``fit_model`` is given an ``ordering``, and
-``order_by_bic`` picks the ordering of either model by BIC and returns
-its fit.
+variance paths are D_t.  The covariance path Sigma_t = inv(T_t) @
+diag(D_t) @ inv(T_t).T is built by ``mcd_reconstruct`` from the
+regressions, one row of Sigma_t at a time, with no inverse formed.  It
+is positive definite by construction, as T_t is unit lower triangular
+(``mcd_reconstruct`` checks it) and D_t > 0 (not checked).
+``fit_model(panel, "cgarch")`` is the constant-coefficient baseline
+(static T from the full-sample regressions, GARCH step unchanged).
+Either model takes the variables in panel order unless ``fit_model`` is
+given an ``ordering``, and ``order_by_bic`` picks the ordering of either
+model by BIC and returns its fit.
 
 A column's innovations and GARCH fit depend only on which variables
 precede it, so ``_fit_columns`` fits (series, predecessor set) pairs,
@@ -163,6 +164,8 @@ class ScgarchFitResult:
     ``innovations`` and ``garch_fits``, whose ``sigma2_path``s are the
     variances D_t >= omega > 0, are in processing order (the variables
     taken in ``ordering``); ``cov_path`` is in the original variable order.
+    A cgarch ``t_path`` is a read-only ``np.broadcast_to`` view of its one
+    (p, p) factor; copy it to write to it.
     """
 
     model: str
@@ -348,9 +351,12 @@ def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
     n, p = panel.values.shape
     pairs = _ordering_pairs(perm)
     rank = np.argsort(perm)
-    t_path = np.broadcast_to(np.eye(p), (n, p, p)).copy()
+    static = model == "cgarch"
+    t_path = np.eye(p) if static else np.broadcast_to(np.eye(p), (n, p, p)).copy()
     for k, pair in enumerate(pairs[1:], start=1):
-        t_path[:, k, rank[sorted(pair[1])]] = -fitted[pair][0]
+        t_path[..., k, rank[sorted(pair[1])]] = -fitted[pair][0]
+    if static:  # one factor for every step, read through a read-only view
+        t_path = np.broadcast_to(t_path, (n, p, p))
     innovations = np.column_stack([fitted[pair][1] for pair in pairs])
     fits = [fitted[pair][2] for pair in pairs]
     sigma = mcd_reconstruct(t_path, np.column_stack([f.sigma2_path for f in fits]))

@@ -38,3 +38,15 @@ def test_no_scipy_is_loaded(tmp_path):
                           capture_output=True, text=True, timeout=120, check=True)
     assert [line for line in proc.stdout.splitlines() if line.startswith("loaded")] == [
         "loaded []", "loaded []"]
+
+
+def test_cli_import_loads_no_process_pool():
+    # A fit never starts a worker pool; loading multiprocessing for the
+    # benchmark's --jobs would cost every command its memory.
+    code = ("import sys, scgarch.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+            " or m == 'concurrent.futures.process'))\n")
+    src = str(Path(scgarch.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

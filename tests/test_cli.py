@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import os
 import warnings
@@ -675,7 +676,7 @@ class TestExperimentJobs:
     def no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was created")
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
     @pytest.mark.parametrize("argv", [["--replications", "0"], ["--sizes", "0"],
                                       ["--base-seed", "-1"], ["--sizes", "20", "20"],

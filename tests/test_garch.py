@@ -12,6 +12,7 @@ from scgarch.garch import (
     STATIONARITY_MARGIN,
     GarchParams,
     _ar1,
+    _lagged,
     _nll_and_derivatives,
     garch_filter,
     garch_fit,
@@ -422,3 +423,24 @@ def test_fit_rejects_a_missing_value():
 def test_unit_persistence_has_no_unconditional_variance():
     with pytest.raises(InvalidParameters, match="persistence < 1"):
         GarchParams(0.1, 0.5, 0.5).unconditional_variance
+
+
+@pytest.mark.parametrize("n, blocks", [(512, 1), (1024, 2), (2048, 4)])
+def test_grid_rows_do_not_depend_on_their_block(monkeypatch, n, blocks):
+    # One block of all 16 rows, the budgeted blocks, and one row per block
+    # must give the same starts, bit for bit.
+    eps, _ = simulate_garch(GarchParams(0.1, 0.15, 0.8), n, seed=n)
+    sigma2_init = float(np.var(eps))
+    e2 = eps * eps
+    e2_lag = _lagged(e2, sigma2_init)
+    calls = []
+    profile = garch._grid_profile
+    monkeypatch.setattr(garch, "_grid_profile",
+                        lambda betas, *a: calls.append(len(betas)) or profile(betas, *a))
+    budgeted = garch._grid_starts(e2, e2_lag, sigma2_init)
+    assert calls == [len(_GRID_BETAS) // blocks] * blocks
+    assert len(budgeted) > 0
+    for budget in (2 * e2.itemsize * n * len(_GRID_BETAS), 1):
+        monkeypatch.setattr(garch, "_GRID_BLOCK_BYTES", budget)
+        np.testing.assert_array_equal(garch._grid_starts(e2, e2_lag, sigma2_init), budgeted)
+    assert calls[-len(_GRID_BETAS) - 1:] == [len(_GRID_BETAS)] + [1] * len(_GRID_BETAS)

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scgarch.exceptions import DimensionMismatch, NonPositiveDiagonal, NotPositiveDefinite
+from scgarch.exceptions import (
+    DimensionMismatch,
+    NonPositiveDiagonal,
+    NotPositiveDefinite,
+    NotUnitLowerTriangular,
+)
 from scgarch.mcd import mcd_decompose, mcd_reconstruct
 from scgarch.model import CovariancePath
 
@@ -77,6 +82,49 @@ class TestReconstruct:
             mcd_reconstruct(np.eye(3), np.ones(2))
         with pytest.raises(DimensionMismatch):
             mcd_reconstruct(np.broadcast_to(np.eye(3), (4, 3, 3)), np.ones(3))
+
+
+def random_factor_path(n, p, seed):
+    rng = np.random.default_rng(seed)
+    t = np.broadcast_to(np.eye(p), (n, p, p)).copy()
+    j, k = np.tril_indices(p, -1)
+    t[:, j, k] = rng.uniform(-0.8, 0.8, (n, len(j)))
+    return t, rng.uniform(0.5, 2.0, (n, p))
+
+
+class TestRecursion:
+    """``mcd_reconstruct`` builds sigma by the regressions, with no inverse."""
+
+    @pytest.mark.parametrize("n, p", [(64, 1), (256, 3), (128, 6), (32, 10)])
+    def test_exactly_symmetric_and_equal_to_the_inverse_form(self, n, p):
+        t, d = random_factor_path(n, p, seed=n + p)
+        sigma = mcd_reconstruct(t, d)
+        np.testing.assert_array_equal(sigma, sigma.transpose(0, 2, 1))
+        tinv = np.linalg.inv(t)
+        expected = tinv @ (d[:, :, None] * tinv.transpose(0, 2, 1))
+        scale = np.abs(expected).max(axis=(1, 2))[:, None, None]
+        assert np.max(np.abs(sigma - expected) / scale) <= 1e-14
+
+    def test_accepts_a_broadcast_factor(self):
+        t, d = random_factor_path(200, 4, seed=1)
+        shared = np.broadcast_to(t[0], t.shape)
+        assert not shared.flags.writeable
+        np.testing.assert_array_equal(mcd_reconstruct(shared, d),
+                                      mcd_reconstruct(np.array(shared), d))
+
+    @pytest.mark.parametrize("entry, value", [((0, 2), 1e-300), ((1, 3), -0.5),
+                                              ((0, 0), 2.0), ((3, 3), 1.0 + 4e-16),
+                                              ((2, 2), np.nan)],
+                             ids=["upper-tiny", "upper", "first-diagonal",
+                                  "last-diagonal", "nan-diagonal"])
+    def test_not_unit_lower_triangular_raises(self, entry, value):
+        t, d = random_factor_path(50, 4, seed=2)
+        t[-1][entry] = value  # the last step only
+        with pytest.raises(NotUnitLowerTriangular,
+                           match=rf"entry \({entry[0] + 1}, {entry[1] + 1}\)"):
+            mcd_reconstruct(t, d)
+        with pytest.raises(NotUnitLowerTriangular):
+            mcd_reconstruct(t[-1], d[-1])
 
 
 def cov_to_corr(sigma):

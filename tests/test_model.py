@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -371,6 +372,24 @@ class TestFitCgarch:
         assert abs(phi_static - phi_late) < 0.05
         # constant-T contract: every step carries the same matrix
         assert np.ptp(static.t_path, axis=0).max() == 0.0
+
+    def test_t_path_is_a_read_only_broadcast_of_one_factor(self):
+        fit = fit_model(mixed_garch_panel(300, 4, 1), "cgarch")
+        assert fit.t_path.shape == (300, 4, 4)
+        assert fit.t_path.strides[0] == 0 and not fit.t_path.flags.writeable
+
+    def test_fit_working_set_stays_within_three_paths(self):
+        """A cgarch fit at n = 2048, p = 6 holds its covariance path and
+        less than two more arrays of its size: no copied factor path, no
+        inverse, and a GARCH grid evaluated in row blocks."""
+        panel = mixed_garch_panel(2048, 6, 0)
+        tracemalloc.start()
+        try:
+            fit_model(panel, "cgarch")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2048 * 6 * 6 * 8
 
     def test_p1_matches_scgarch(self):
         panel = iid_panel(400, [1.5], seed=14)
