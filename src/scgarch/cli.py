@@ -50,7 +50,6 @@ from .experiments import BenchmarkConfig, check_jobs, run_benchmark
 from .model import (
     DEFAULT_TUNE_GRID,
     MODELS,
-    CovariancePath,
     ScgarchConfig,
     bic,
     fit_model,
@@ -122,10 +121,11 @@ def cmd_fit(args) -> int:
         result = order_by_bic(panel, config, model=args.model,
                               mode=args.ordering.removeprefix("bic-"))
 
+    # The result has checked its factors, so the paths, built from them a
+    # block of steps at a time as they are written, cannot fail.
     out = _out_dir(args)
-    io.write_cov_path(out / "cov_path.csv", result.cov_path)
-    io.write_cov_path(out / "corr_path.csv",
-                      CovariancePath(result.cov_path.correlations()))
+    io.write_cov_path(out / "cov_path.csv", result.factored_path())
+    io.write_cov_path(out / "corr_path.csv", result.factored_path(correlation=True))
     io.write_coeff_path(out / "coeff_path.csv", result.t_path)
     processing_labels = [panel.labels[k] for k in result.ordering]
     io.write_garch_params(out / "garch_params.csv", result.garch_fits,

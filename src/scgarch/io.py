@@ -4,15 +4,22 @@ Floats are serialized with 17 significant digits so a write/read
 round-trip reproduces values exactly.  Matrix paths use a long format
 ``t,i,j,value`` with 1-based indices; panels are wide (one header row of
 labels, one row per time step).  Both readers parse a file's body with
-one ``np.loadtxt`` call, which gives a number the bits ``float()`` gives
-it; blank lines are skipped and an error names the line at fault.
+one ``np.loadtxt`` call on the open file, which gives a number the bits
+``float()`` gives it and holds no list of the file's lines; blank lines
+are skipped, and an error names the line at fault (the file is read
+again, line by line, to find it).
 
 Everything that grows with the number of time steps is written without
 holding a whole file in memory: the wide files (panels, per-step loss
 reports) a row at a time by ``np.savetxt``, the long-format paths
-(covariance, correlation, coefficients) a chunk of time steps at a time,
-each step's lines one ``%``-template filled from that step's values, so
-no per-entry Python call is made.  ``"%.17g" % v`` and ``fmt(v)`` use the
+(covariance, correlation, coefficients) a block of time steps at a time
+(``_BLOCK_STEPS``), each block in chunks, each step's lines one
+``%``-template filled from that step's values, so no per-entry Python
+call is made.  A path is taken a block at a time too: ``write_cov_path``
+takes anything with ``block(start, stop)``, and a fit's ``FactoredPath``
+builds each block from the fit's factors, so ``scgarch fit`` holds T,
+the variance paths and one block of steps, never a whole covariance or
+correlation path.  ``"%.17g" % v`` and ``fmt(v)`` use the
 same float-to-string routine and ``csv.writer`` never quotes a number,
 so the bytes are those ``csv.writer`` writes, ``\r\n`` line ends included.
 The long-format writers format each distinct column once: a column that
@@ -25,11 +32,13 @@ mirror entry).  Small tables go through ``write_table``.
 from __future__ import annotations
 
 import csv
+import warnings
 from operator import itemgetter
 
 import numpy as np
 
 from .exceptions import PanelFormatError
+from .mcd import _BLOCK_STEPS
 from .model import CovariancePath, TimeSeriesPanel
 
 
@@ -55,65 +64,111 @@ def _column_sources(values: np.ndarray):
     Returns ``constant``, whether each column holds one value at every
     step, and ``source``, the first column bitwise equal to each column.
     Bits keep -0.0 apart from 0.0 and NaN payloads apart.  Two columns are
-    compared in full only when their first entries and bit sums agree, and
-    no column is copied.
+    compared in full only when their first entries and bit sums agree:
+    each column with the first column of its key in one comparison, and a
+    column that differs from it with the other earlier columns of its key.
     """
     bits = values.view(np.int64)
     constant = (bits == bits[0]).all(axis=0)
-    source = list(range(bits.shape[1]))
-    seen = {}
-    for m, key in enumerate(zip(bits[0].tolist(), bits.sum(axis=0).tolist())):
-        for earlier in seen.setdefault(key, []):
-            if np.array_equal(bits[:, earlier], bits[:, m]):
-                source[m] = earlier
-                break
-        else:
-            seen[key].append(m)
+    keys = list(zip(bits[0].tolist(), bits.sum(axis=0).tolist()))
+    first = {}
+    for m, key in enumerate(keys):
+        first.setdefault(key, m)
+    source = [first[key] for key in keys]
+    later = [m for m, s in enumerate(source) if s != m]
+    if later:
+        equal = (bits[:, [source[m] for m in later]] == bits[:, later]).all(axis=0)
+        for m, same in zip(later, equal.tolist()):
+            if not same:
+                source[m] = next((e for e in range(source[m] + 1, m)
+                                  if source[e] == e and keys[e] == keys[m]
+                                  and (bits[:, e] == bits[:, m]).all()), m)
     return constant, source
 
 
-def _write_long(path, header, pairs, values: np.ndarray):
+def _write_long(path, header, pairs, blocks):
     """Long format: a ``t,a,b,value`` line per step t and index pair (a, b).
 
-    ``values`` is (n, len(pairs)), column m holding pair m's values.  A
-    constant column's text is part of the step template.  Each distinct
-    varying column is formatted once per chunk (``%.17g``), and its text
-    fills every line that reads it (``%s``).
+    ``blocks`` yields the path's steps in order, a block at a time, each
+    a (steps, len(pairs)) array whose column m holds pair m's values.  A
+    constant column's text is part of the step template, and each distinct
+    varying column is formatted once per chunk (``%.17g``), its text
+    filling every line that reads it (``%s``).  The template of one block
+    serves the next while that block's columns keep its constants and bit
+    equalities, as a symmetric matrix's mirror entries and a correlation's
+    unit diagonal do; otherwise the block gets its own.
     """
-    values = np.ascontiguousarray(values, dtype=float)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if not len(values):
-            return
-        constant, source = _column_sources(values)
-        distinct = sorted({source[m] for m in range(len(pairs)) if not constant[m]})
-        # "\0" stands for the step's "t," prefix until a chunk fills it in.
-        lines, slots = [], []
-        for m, (a, b) in enumerate(pairs):
-            if constant[m]:
-                lines.append(f"\0{a},{b},{fmt(values[0, m])}\r\n")
-            else:
-                lines.append(f"\0{a},{b},%s\r\n")
-                slots.append(distinct.index(source[m]))
-        step = "".join(lines)
+        pickers, done, holds = {}, 0, None
+        for values in blocks:
+            values = np.ascontiguousarray(values, dtype=float)
+            if holds is None or not holds(values.view(np.int64)):
+                step, distinct, slots, holds = _step_template(values, pairs)
+            for start in range(0, len(values), _CHUNK_STEPS):
+                rows = min(_CHUNK_STEPS, len(values) - start)
+                key = (len(distinct), slots, rows)
+                if key not in pickers:
+                    pickers[key] = _picker(*key)
+                fh.write(_chunk_text(values[start:start + rows, distinct], done + start + 1,
+                                     step, pickers[key]))
+            done += len(values)
 
-        def picker(rows):
-            """The template's arguments from a chunk's texts, row-major."""
-            idx = [r * len(distinct) + k for r in range(rows) for k in slots]
-            if len(idx) > 1:
-                return itemgetter(*idx)
-            return lambda texts: tuple(texts[i] for i in idx)
 
-        pickers = {}
-        for start in range(0, len(values), _CHUNK_STEPS):
-            block = values[start:start + _CHUNK_STEPS, distinct].ravel().tolist()
-            rows = min(_CHUNK_STEPS, len(values) - start)
-            if rows not in pickers:
-                pickers[rows] = picker(rows)
-            texts = ("%.17g," * len(block) % tuple(block)).split(",")[:-1]
-            template = "".join([step.replace("\0", f"{t},")
-                                for t in range(start + 1, start + rows + 1)])
-            fh.write(template % pickers[rows](texts))
+def _chunk_text(columns: np.ndarray, first: int, step: str, picker) -> str:
+    """The lines of a chunk of steps, numbered from ``first``, whose
+    distinct varying columns are ``columns``: one ``%.17g`` formatting of
+    all their values, and one template of the chunk's steps filled by
+    ``picker`` from those texts.  Its temporaries go when it returns."""
+    values = columns.ravel().tolist()
+    texts = ("%.17g," * len(values) % tuple(values)).split(",")[:-1]
+    template = "".join([step.replace("\0", f"{t},")
+                        for t in range(first, first + len(columns))])
+    return template % picker(texts)
+
+
+def _step_template(values: np.ndarray, pairs):
+    """The lines of one step of the block ``values``, with "\\0" for the
+    step's "t," prefix and ``%s`` for each varying value; the distinct
+    varying columns, whose texts fill them; the slot among those columns
+    of each ``%s``; and ``holds(bits)``, whether the columns of another
+    block, given as bits, keep the constants and equalities used here."""
+    constant, source = _column_sources(values)
+    distinct = sorted({source[m] for m in range(len(pairs)) if not constant[m]})
+    position = {column: k for k, column in enumerate(distinct)}
+    lines, slots = [], []
+    for m, (a, b) in enumerate(pairs):
+        if constant[m]:
+            lines.append(f"\0{a},{b},{fmt(values[0, m])}\r\n")
+        else:
+            lines.append(f"\0{a},{b},%s\r\n")
+            slots.append(position[source[m]])
+    fixed = np.flatnonzero(constant)
+    fixed_bits = values.view(np.int64)[0, fixed]
+    copies = np.array([m for m in range(len(pairs)) if source[m] != m], dtype=np.intp)
+    copied = np.array(source, dtype=np.intp)[copies]
+
+    def holds(bits):
+        return bool((bits[:, copies] == bits[:, copied]).all()
+                    and (bits[:, fixed] == fixed_bits).all())
+
+    return "".join(lines), distinct, tuple(slots), holds
+
+
+def _picker(width, slots, rows):
+    """The template's arguments, row-major, from the texts of a chunk of
+    ``rows`` steps of ``width`` distinct columns."""
+    idx = [r * width + k for r in range(rows) for k in slots]
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda texts: tuple(texts[i] for i in idx)
+
+
+def _blocks(n: int, block):
+    """``block(start, stop)`` over steps 0..n, ``_BLOCK_STEPS`` at a time:
+    the blocks ``mcd_reconstruct`` rebuilds at once, four chunks each."""
+    for start in range(0, n, _BLOCK_STEPS):
+        yield block(start, min(start + _BLOCK_STEPS, n))
 
 
 def write_columns(path, header, values):
@@ -128,51 +183,62 @@ def write_panel(path, panel: TimeSeriesPanel):
     write_columns(path, panel.labels, panel.values)
 
 
-def _read_csv(path, dtype, header=None):
-    """The header cells, the body parsed as ``dtype`` by one ``np.loadtxt``
-    call, and each body row's line number; blank lines are skipped.
+# How the readers parse a body: one "," cell per value, quotes allowed.
+_CELLS = {"delimiter": ",", "comments": None, "quotechar": '"'}
 
-    A ``header`` given must match.  If the body does not parse, each line
-    is checked on its own, its cell count and then its values, and the
-    error names the first that fails: numpy's "at row N" counts rows, not
-    lines.
-    """
+
+def _read_csv(path, dtype, ndmin, header=None):
+    """The header cells and the body parsed as ``dtype`` by one
+    ``np.loadtxt`` call on the open file; blank lines are skipped.  A
+    ``header`` given must match."""
     with open(path, newline="") as fh:
         cells = next(csv.reader(fh), None)
-        numbered = [(k, line) for k, line in enumerate(fh, start=2) if line.strip("\r\n")]
-    if cells is None:
-        raise PanelFormatError(f"{path}: file is empty")
-    cells = [c.strip() for c in cells]
-    if header is not None and cells != header:
-        raise PanelFormatError(f"{path}: expected header {','.join(header)}")
-    if not numbered:
+        if cells is None:
+            raise PanelFormatError(f"{path}: file is empty")
+        cells = [c.strip() for c in cells]
+        if header is not None and cells != header:
+            raise PanelFormatError(f"{path}: expected header {','.join(header)}")
+        try:
+            with warnings.catch_warnings():
+                # A body of blank lines is reported below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                body = np.loadtxt(fh, dtype=dtype, ndmin=ndmin, **_CELLS)
+        except ValueError as exc:
+            raise _parse_error(path, len(cells), dtype, exc) from None
+    if not len(body):
         raise PanelFormatError(f"{path}: no data rows")
+    return cells, body
 
-    def parse(lines):
-        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
-                          dtype=dtype, ndmin=1)
 
-    linenos, lines = zip(*numbered)
-    try:
-        return cells, parse(lines), linenos
-    except ValueError as exc:
-        for lineno, line in numbered:
-            width = len(next(csv.reader([line])))
-            if width != len(cells):
-                raise PanelFormatError(f"{path}, line {lineno}: expected "
-                                       f"{len(cells)} cells, got {width}") from None
-            try:
-                parse([line])
-            except ValueError as bad:
-                raise PanelFormatError(f"{path}, line {lineno}: {bad}") from None
-        raise PanelFormatError(f"{path}: {exc}") from None
+def _parse_error(path, width: int, dtype, exc: ValueError) -> PanelFormatError:
+    """The error for a body that did not parse: the file is read again and
+    each line checked on its own, its cell count and then its values, and
+    the error names the first that fails (numpy's "at row N" counts rows,
+    not lines)."""
+    for lineno, line in _body_lines(path):
+        cells = len(next(csv.reader([line])))
+        if cells != width:
+            return PanelFormatError(f"{path}, line {lineno}: expected {width} cells, "
+                                    f"got {cells}")
+        try:
+            np.loadtxt([line], dtype=dtype, **_CELLS)
+        except ValueError as bad:
+            return PanelFormatError(f"{path}, line {lineno}: {bad}")
+    return PanelFormatError(f"{path}: {exc}")
+
+
+def _body_lines(path):
+    """(line number, line) of each line after the header that is not
+    blank, read again to name a line in an error."""
+    with open(path, newline="") as fh:
+        next(csv.reader(fh))
+        return [(k, line) for k, line in enumerate(fh, start=2) if line.strip("\r\n")]
 
 
 def read_panel(path) -> TimeSeriesPanel:
-    labels, body, linenos = _read_csv(path, float)
-    values = body.reshape(len(linenos), -1)
+    labels, values = _read_csv(path, float, ndmin=2)
     if values.shape[1] != len(labels):
-        raise PanelFormatError(f"{path}, line {linenos[0]}: expected "
+        raise PanelFormatError(f"{path}, line {_body_lines(path)[0][0]}: expected "
                                f"{len(labels)} cells, got {values.shape[1]}")
     try:
         return TimeSeriesPanel(values, labels)
@@ -180,11 +246,18 @@ def read_panel(path) -> TimeSeriesPanel:
         raise PanelFormatError(f"{path}: {exc}")
 
 
-def write_cov_path(path, cov: CovariancePath):
-    """Long format: t,i,j,value with 1-based indices, all p*p entries."""
-    n, p, _ = cov.sigmas.shape
+def write_cov_path(path, cov):
+    """Long format: t,i,j,value with 1-based indices, all p*p entries.
+
+    ``cov`` has ``n``, ``p`` and ``block(start, stop)``, which gives the
+    steps ``start`` to ``stop`` as a (steps, p, p) array: a
+    ``CovariancePath`` gives views of its array, a fit's ``FactoredPath``
+    builds each block from the fit's factors.
+    """
+    p = cov.p
     pairs = [(i + 1, j + 1) for i in range(p) for j in range(p)]
-    _write_long(path, ["t", "i", "j", "value"], pairs, cov.sigmas.reshape(n, p * p))
+    _write_long(path, ["t", "i", "j", "value"], pairs,
+                (b.reshape(len(b), p * p) for b in _blocks(cov.n, cov.block)))
 
 
 # A matrix path line.  As ``int()`` does, an index field rejects "1.0".
@@ -194,22 +267,26 @@ _PATH_LINE = np.dtype([("t", "i8"), ("i", "i8"), ("j", "i8"), ("value", "f8")])
 def read_cov_path(path) -> CovariancePath:
     """Read a path written by ``write_cov_path``: every (t, i, j) entry of
     an n x p x p path exactly once, values NaN and infinities included."""
-    _, body, linenos = _read_csv(path, _PATH_LINE, header=list(_PATH_LINE.names))
+    _, body = _read_csv(path, _PATH_LINE, ndmin=1, header=list(_PATH_LINE.names))
     keys = np.column_stack([body["t"], body["i"], body["j"]])
     idx = keys - 1
     n, p = int(idx[:, 0].max()) + 1, int(idx[:, 1].max()) + 1
+
+    def line_of(row):
+        return _body_lines(path)[row][0]
+
     bad = np.flatnonzero((idx < 0).any(axis=1) | (idx[:, 2] >= p))
     if bad.size:
         k = bad[0]
         raise PanelFormatError(
-            f"{path}, line {linenos[k]}: index {tuple(keys[k].tolist())} out of range")
+            f"{path}, line {line_of(k)}: index {tuple(keys[k].tolist())} out of range")
     flat = np.ravel_multi_index(idx.T, (n, p, p))
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         k = repeats.min()
         raise PanelFormatError(
-            f"{path}, line {linenos[k]}: duplicate entry {tuple(keys[k].tolist())}")
+            f"{path}, line {line_of(k)}: duplicate entry {tuple(keys[k].tolist())}")
     if flat.size != n * p * p:
         raise PanelFormatError(f"{path}: missing entries in the {n}x{p}x{p} path")
     sigmas = np.empty(n * p * p)
@@ -224,7 +301,8 @@ def write_coeff_path(path, t_path: np.ndarray):
     the unit-lower-triangular factor.
     """
     j, k = np.tril_indices(t_path.shape[1], -1)
-    _write_long(path, ["t", "j", "k", "phi"], list(zip(j + 1, k + 1)), -t_path[:, j, k])
+    _write_long(path, ["t", "j", "k", "phi"], list(zip(j + 1, k + 1)),
+                _blocks(len(t_path), lambda start, stop: -t_path[start:stop, j, k]))
 
 
 def write_garch_params(path, fits, labels):

@@ -4,11 +4,12 @@
 (1) filter each variable's regression on its predecessors to get
 time-varying coefficient rows of T_t and mutually uncorrelated
 innovations; (2) fit a GARCH(1,1) model to each innovation series, whose
-variance paths are D_t.  The covariance path Sigma_t = inv(T_t) @
-diag(D_t) @ inv(T_t).T is built by ``mcd_reconstruct`` from the
-regressions, one row of Sigma_t at a time, with no inverse formed.  It
-is positive definite by construction, as T_t is unit lower triangular
-(``mcd_reconstruct`` checks it) and D_t > 0 (not checked).
+variance paths are D_t.  A fit keeps T_t and D_t, both checked (T_t unit
+lower triangular, D_t positive and finite), and the covariance path
+Sigma_t = inv(T_t) @ diag(D_t) @ inv(T_t).T is built from them by
+``mcd_reconstruct`` when it is read, a block of steps at a time
+(``FactoredPath``) or all at once (``ScgarchFitResult.cov_path``), with
+no inverse formed.  It is positive definite by construction.
 ``fit_model(panel, "cgarch")`` is the constant-coefficient baseline
 (static T from the full-sample regressions, GARCH step unchanged).
 Either model takes the variables in panel order unless ``fit_model`` is
@@ -28,6 +29,7 @@ the pipeline once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -45,7 +47,7 @@ from .garch import GarchFit, garch_fit
 from .kalman import _best_candidate, _checked_grid, _gain_filter
 # Not called here: perfbench/spans.py wraps both names on this module.
 from .kalman import filter_regression, tune_state_noise  # noqa: F401
-from .mcd import mcd_decompose, mcd_reconstruct
+from .mcd import check_unit_lower_triangular, mcd_decompose, mcd_reconstruct
 
 # Floor on the regression-residual variance, relative to the column's mean
 # square, so degenerate (near-collinear) columns do not produce a zero
@@ -106,20 +108,72 @@ class CovariancePath:
     def p(self) -> int:
         return self.sigmas.shape[1]
 
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Steps ``start`` to ``stop`` (exclusive), a view of ``sigmas``."""
+        return self.sigmas[start:stop]
+
     def correlations(self) -> np.ndarray:
         """Per-time correlation matrices, shape (n, p, p), with an exact
         unit diagonal; bitwise symmetric where ``sigmas`` is."""
-        d = np.diagonal(self.sigmas, axis1=1, axis2=2)
-        if np.any(d <= 0):
+        if np.any(np.diagonal(self.sigmas, axis1=1, axis2=2) <= 0):
             raise NonPositiveDiagonal("covariance path has non-positive variances")
-        inv_sd = 1.0 / np.sqrt(d)
-        # One product per entry of the symmetric scale matrix, so entries
-        # (i, j) and (j, i) round alike; the scale matrix holds the result.
-        corr = inv_sd[:, :, None] * inv_sd[:, None, :]
-        corr *= self.sigmas
-        idx = np.arange(self.p)
-        corr[:, idx, idx] = 1.0
-        return corr
+        return _correlate(self.sigmas)
+
+
+def _correlate(sigmas: np.ndarray) -> np.ndarray:
+    """The correlations of the (n, p, p) ``sigmas``, whose diagonal the
+    caller has checked to be positive."""
+    inv_sd = 1.0 / np.sqrt(np.diagonal(sigmas, axis1=1, axis2=2))
+    # One product per entry of the symmetric scale matrix, so entries
+    # (i, j) and (j, i) round alike; the scale matrix holds the result.
+    corr = inv_sd[:, :, None] * inv_sd[:, None, :]
+    corr *= sigmas
+    idx = np.arange(sigmas.shape[1])
+    corr[:, idx, idx] = 1.0
+    return corr
+
+
+@dataclass(frozen=True)
+class FactoredPath:
+    """A fit's covariance path, or with ``correlation`` its correlation
+    path, in the panel's order, held as the fit's factors: the
+    (n, p, p) unit lower triangular ``t_path`` and the p variance paths
+    D_t, both in the processing order ``ordering``.
+
+    ``block(start, stop)`` builds the steps ``start`` to ``stop``
+    (exclusive) by ``mcd_reconstruct`` of those steps and one ``take`` back
+    to the panel's order, so a writer that asks for a block of steps at a
+    time holds no (n, p, p) array; each step has the bits the whole path
+    built at once gives it.  The factors are those of a
+    ``ScgarchFitResult``, which checks them, so a block raises no error;
+    the correlations skip ``correlations()``'s check of the diagonal, which
+    in exact arithmetic is at least D_t > 0.
+    """
+
+    t_path: np.ndarray
+    variances: tuple[np.ndarray, ...]
+    ordering: tuple[int, ...]
+    correlation: bool = False
+
+    @property
+    def n(self) -> int:
+        return self.t_path.shape[0]
+
+    @property
+    def p(self) -> int:
+        return self.t_path.shape[1]
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """Steps ``start`` to ``stop`` (exclusive) as one C-contiguous
+        (steps, p, p) array."""
+        p = self.p
+        sigma = mcd_reconstruct(self.t_path[start:stop],
+                                np.column_stack([v[start:stop] for v in self.variances]))
+        if self.ordering != tuple(range(p)):
+            rank = np.argsort(self.ordering)
+            sigma = sigma.reshape(len(sigma), p * p).take(
+                rank[:, None] * p + rank, axis=1).reshape(sigma.shape)
+        return _correlate(sigma) if self.correlation else sigma
 
 
 # Log-spaced candidates for predictive-likelihood tuning of the
@@ -160,12 +214,19 @@ class ScgarchConfig:
 class ScgarchFitResult:
     """Everything produced by one pipeline fit.
 
-    ``t_path`` (n, p, p), unit lower triangular by construction,
-    ``innovations`` and ``garch_fits``, whose ``sigma2_path``s are the
-    variances D_t >= omega > 0, are in processing order (the variables
-    taken in ``ordering``); ``cov_path`` is in the original variable order.
+    ``t_path`` (n, p, p), unit lower triangular, ``innovations`` and
+    ``garch_fits``, whose ``sigma2_path``s are the variances D_t >= omega
+    > 0, are in processing order (the variables taken in ``ordering``).
     A cgarch ``t_path`` is a read-only ``np.broadcast_to`` view of its one
     (p, p) factor; copy it to write to it.
+
+    A result holds the covariance path only as these factors: T, the
+    variance paths and the ordering, checked when the result is made (a
+    ``t_path`` that is not unit lower triangular, or a variance that is
+    not positive and finite, raises).  ``factored_path()`` reads them a
+    block of steps at a time, as ``scgarch fit`` writes its paths;
+    ``cov_path``, in the original variable order, is built from them over
+    all steps on first access and then kept.
     """
 
     model: str
@@ -173,8 +234,24 @@ class ScgarchFitResult:
     t_path: np.ndarray
     innovations: np.ndarray
     garch_fits: list[GarchFit]
-    cov_path: CovariancePath
     total_loglik: float
+
+    def __post_init__(self):
+        check_unit_lower_triangular(self.t_path)
+        for k, fit in zip(self.ordering, self.garch_fits):
+            if not np.all(np.isfinite(fit.sigma2_path) & (fit.sigma2_path > 0)):
+                raise NonPositiveDiagonal(f"the GARCH variance path of series {k + 1} "
+                                          "is not positive and finite")
+
+    def factored_path(self, correlation: bool = False) -> FactoredPath:
+        """Sigma_t, or with ``correlation`` its correlations, in the
+        original variable order, built a block of steps at a time."""
+        return FactoredPath(self.t_path, tuple(f.sigma2_path for f in self.garch_fits),
+                            self.ordering, correlation)
+
+    @functools.cached_property
+    def cov_path(self) -> CovariancePath:
+        return CovariancePath(self.factored_path().block(0, self.t_path.shape[0]))
 
 
 def check_permutation(ordering, p: int) -> tuple[int, ...]:
@@ -274,8 +351,9 @@ def _static_column(y, second_moment, j: int, preds: frozenset):
     except ScgarchError as exc:
         raise PipelineError("static-mcd", j + 1, exc) from exc
     # The product with the whole block factor, not with its last row alone,
-    # gives the same bits as the product with the full-panel factor.
-    eps = (y[:, block] @ t.T)[:, -1]
+    # gives the same bits as the product with the full-panel factor; the
+    # copy of its last column lets the (n, |block|) product go.
+    eps = (y[:, block] @ t.T)[:, -1].copy()
     return -t[-1, :-1], eps, _fit_garch_column(eps, j + 1)
 
 
@@ -357,18 +435,13 @@ def _assemble(panel: TimeSeriesPanel, model: str, perm: tuple[int, ...],
         t_path[..., k, rank[sorted(pair[1])]] = -fitted[pair][0]
     if static:  # one factor for every step, read through a read-only view
         t_path = np.broadcast_to(t_path, (n, p, p))
-    innovations = np.column_stack([fitted[pair][1] for pair in pairs])
     fits = [fitted[pair][2] for pair in pairs]
-    sigma = mcd_reconstruct(t_path, np.column_stack([f.sigma2_path for f in fits]))
-    if perm != tuple(range(p)):  # one C-contiguous copy in the panel's order
-        sigma = sigma.reshape(n, p * p).take(rank[:, None] * p + rank, axis=1)
     return ScgarchFitResult(
         model=model,
         ordering=perm,
         t_path=t_path,
-        innovations=innovations,
+        innovations=np.column_stack([fitted[pair][1] for pair in pairs]),
         garch_fits=fits,
-        cov_path=CovariancePath(sigma),
         total_loglik=float(sum(f.loglik for f in fits)),
     )
 

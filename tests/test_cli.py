@@ -1,13 +1,15 @@
 import concurrent.futures
 import importlib.util
 import os
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scgarch import cli, experiments, io, model
+from scgarch import cli, experiments, io, mcd, model
 from scgarch.cli import main
 from scgarch.experiments import (
     SIM1_LAST_K,
@@ -21,7 +23,13 @@ from scgarch.experiments import (
 from scgarch.garch import GarchParams, garch_fit, simulate_garch
 from scgarch.kalman import KalmanConfig, filter_regression
 from scgarch.mcd import is_positive_definite
-from scgarch.model import CovariancePath, ScgarchConfig, TimeSeriesPanel, fit_model
+from scgarch.model import (
+    DEFAULT_TUNE_GRID,
+    CovariancePath,
+    ScgarchConfig,
+    TimeSeriesPanel,
+    fit_model,
+)
 from scgarch.simulate import Sim1Config, Sim2Config, generate_sim1
 
 
@@ -297,6 +305,99 @@ class TestFit:
         assert run("evaluate", fitdir / "cov_path.csv", "--moving-block",
                    "--panel", tmp_path / "panel.csv", "--block-size", 10,
                    "--out-dir", tmp_path) == 2
+
+
+def write_garch_panel(path, n, p, seed):
+    """GARCH(1,1) innovations mixed by a unit lower triangular matrix, in
+    reverse column order, so that a BIC search leaves the panel's order."""
+    eps = np.column_stack([simulate_garch(GarchParams(0.1, 0.2, 0.7), n, seed=seed + k)[0]
+                           for k in range(p)])
+    mix = np.tril(np.full((p, p), 0.6), -1) + np.eye(p)
+    io.write_panel(path, TimeSeriesPanel((eps @ mix.T)[:, ::-1]))
+
+
+class TestStreamedPaths:
+    """``fit`` builds its covariance and correlation paths from the fit's
+    factors a block of steps at a time as it writes them; the files are
+    those written in one block from the whole paths."""
+
+    @pytest.mark.parametrize("n", [2 * mcd._BLOCK_STEPS, mcd._BLOCK_STEPS + 44, 100],
+                             ids=["blocks", "blocks-and-a-part", "part-of-a-block"])
+    @pytest.mark.parametrize("options", [
+        ["--model", "cgarch"], ["--tune-state-noise"], ["--ordering", "bic-exhaustive"]],
+        ids=["cgarch", "tuned", "bic-exhaustive"])
+    def test_same_bytes_as_one_block(self, tmp_path, monkeypatch, options, n):
+        panel_path = tmp_path / "panel.csv"
+        write_garch_panel(panel_path, n, 3, seed=n)
+        out = tmp_path / "out"
+        assert run("fit", panel_path, *options, "--out-dir", out) == 0
+        panel = io.read_panel(panel_path)
+        if options[0] == "--ordering":
+            result = model.order_by_bic(panel)
+            assert result.ordering != (0, 1, 2)  # the paths are permuted back
+        elif options[0] == "--model":
+            result = fit_model(panel, "cgarch")
+        else:
+            result = fit_model(panel, "scgarch", ScgarchConfig(state_noise=DEFAULT_TUNE_GRID))
+        monkeypatch.setattr(io, "_BLOCK_STEPS", n)
+        io.write_cov_path(tmp_path / "cov_path.csv", result.cov_path)
+        io.write_cov_path(tmp_path / "corr_path.csv",
+                          CovariancePath(result.cov_path.correlations()))
+        io.write_coeff_path(tmp_path / "coeff_path.csv", result.t_path)
+        for name in ("cov_path.csv", "corr_path.csv", "coeff_path.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+    def test_zero_garch_variance_is_exit_3_with_no_directory(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # The fit is checked before the directory is made, so writing the
+        # paths, built as they are written, cannot fail halfway.
+        calls = []
+
+        def zero_in_second_fit(eps):
+            calls.append(1)
+            fit = garch_fit(eps)
+            if len(calls) == 2:
+                s2 = fit.sigma2_path.copy()
+                s2[10] = 0.0
+                fit = replace(fit, sigma2_path=s2)
+            return fit
+
+        monkeypatch.setattr(model, "garch_fit", zero_in_second_fit)
+        panel_path = tmp_path / "panel.csv"
+        write_iid_panel(panel_path, 120, 3, seed=4)
+        out = tmp_path / "out"
+        assert run("fit", panel_path, "--out-dir", out) == 3
+        assert "series 2 is not positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_fit_writes_hold_no_path(tmp_path, monkeypatch):
+    """When the writes of a cgarch fit of a 4096 x 8 panel start, tracemalloc
+    sees less than one n x p x p path (2 MiB) held, and no write allocates
+    that much: no covariance or correlation path is built whole."""
+    panel_path = tmp_path / "panel.csv"
+    write_garch_panel(panel_path, 4096, 8, seed=1)
+    path_bytes = 4096 * 8 * 8 * 8
+    held, peaks = [], []
+
+    def traced(write):
+        def wrapper(path, obj):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            write(path, obj)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held[-1])
+        return wrapper
+
+    for name in ("write_cov_path", "write_coeff_path"):
+        monkeypatch.setattr(io, name, traced(getattr(io, name)))
+    tracemalloc.start()
+    try:
+        assert run("fit", panel_path, "--model", "cgarch", "--out-dir", tmp_path / "out") == 0
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(held) < path_bytes
+    assert max(peaks) < path_bytes
 
 
 class TestEvaluate:

@@ -333,6 +333,55 @@ def test_coeff_path_with_repeated_columns_same_bytes(tmp_path_factory, data, p):
     assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.integers(1, 4), steps=st.sampled_from([1, 3, 7, CHUNK + 5]))
+def test_paths_written_in_blocks_same_bytes(tmp_path_factory, data, p, steps):
+    # Each block either keeps the previous block's template or, when its
+    # columns break that template's constants or equalities, gets its own.
+    sigmas = data.draw(structured_columns(p * p)).reshape(-1, p, p)
+    n = len(sigmas)
+    j, k = np.tril_indices(p, -1)
+    t_path = np.zeros((n, p, p))
+    t_path[:, j, k] = sigmas[:, j, k]
+    tmp = tmp_path_factory.mktemp("blocks")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_BLOCK_STEPS", steps)
+        io.write_cov_path(tmp / "cov.csv", CovariancePath(sigmas))
+        io.write_coeff_path(tmp / "coeff.csv", t_path)
+    oracle_table(tmp / "cov_old.csv", ["t", "i", "j", "value"],
+                 ((t + 1, a + 1, b + 1, fmt(sigmas[t, a, b]))
+                  for t in range(n) for a in range(p) for b in range(p)))
+    oracle_table(tmp / "coeff_old.csv", ["t", "j", "k", "phi"],
+                 ((t + 1, a + 1, b + 1, fmt(-t_path[t, a, b]))
+                  for t in range(n) for a, b in zip(j, k)))
+    for name in ("cov", "coeff"):
+        assert (tmp / f"{name}.csv").read_bytes() == (tmp / f"{name}_old.csv").read_bytes()
+
+
+def test_block_keeps_the_template_only_while_its_columns_fit_it(tmp_path):
+    # Columns 0 and 1 are equal and column 2 constant in the first block
+    # only; the second block breaks both, the third restores them.
+    values = np.array([[1.5, 1.5, 7.0], [2.5, 2.5, 7.0],
+                       [3.5, 0.5, 7.0], [4.5, 4.5, 8.0],
+                       [5.5, 5.5, 7.0], [6.5, 6.5, 7.0]])
+    built = []
+    step_template = io._step_template
+
+    def recording(block, pairs):
+        built.append(len(block))
+        return step_template(block, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_step_template", recording)
+        io._write_long(tmp_path / "new.csv", ["t", "a", "b", "v"],
+                       [(1, 1), (1, 2), (2, 2)], (values[i:i + 2] for i in (0, 2, 4)))
+    assert built == [2, 2]  # the third block keeps the second's template
+    oracle_table(tmp_path / "old.csv", ["t", "a", "b", "v"],
+                 ((t + 1, a, b, fmt(values[t, m]))
+                  for t in range(6) for m, (a, b) in enumerate([(1, 1), (1, 2), (2, 2)])))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_long_writer_formats_each_distinct_column_once():
     values = np.array([[1.5, 2.5, 1.5, -0.0, 0.0, 2.5, 0.0],
                        [1.5, 3.5, 1.5, -0.0, 0.0, 4.5, -0.0],
@@ -358,6 +407,21 @@ def test_cov_path_write_streams_in_chunks(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "cov.csv").stat().st_size > 2_000_000
     assert peak < 2_000_000
+
+
+def test_panel_read_holds_no_list_of_lines(tmp_path):
+    """A 2048 x 6 panel is parsed from the open file: the read's peak stays
+    below twice the array it returns (a list of its lines is about 5x)."""
+    values = np.random.default_rng(5).standard_normal((2048, 6))
+    io.write_panel(tmp_path / "panel.csv", TimeSeriesPanel(values))
+    tracemalloc.start()
+    try:
+        back = io.read_panel(tmp_path / "panel.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.values, values)
+    assert peak < 2 * values.nbytes
 
 
 def test_header_only_panel_is_rejected(tmp_path):

@@ -9,6 +9,7 @@ from scgarch.exceptions import (
     NotPositiveDefinite,
     NotUnitLowerTriangular,
 )
+from scgarch import mcd
 from scgarch.mcd import mcd_decompose, mcd_reconstruct
 from scgarch.model import CovariancePath
 
@@ -111,6 +112,26 @@ class TestRecursion:
         assert not shared.flags.writeable
         np.testing.assert_array_equal(mcd_reconstruct(shared, d),
                                       mcd_reconstruct(np.array(shared), d))
+
+    @pytest.mark.parametrize("n", [1, mcd._BLOCK_STEPS, 2 * mcd._BLOCK_STEPS + 3])
+    def test_blocks_of_matrices_change_no_bit(self, n):
+        # Rebuilt at once, in uneven pieces, and one matrix at a time.
+        t, d = random_factor_path(n, 5, seed=n)
+        whole = mcd_reconstruct(t, d)
+        cuts = sorted({0, 1, n // 3, n})
+        pieces = np.concatenate([mcd_reconstruct(t[a:b], d[a:b])
+                                 for a, b in zip(cuts, cuts[1:])])
+        np.testing.assert_array_equal(pieces.view(np.int64), whole.view(np.int64))
+        for k in (0, n // 2, n - 1):
+            np.testing.assert_array_equal(mcd_reconstruct(t[k], d[k]).view(np.int64),
+                                          whole[k].view(np.int64))
+
+    def test_names_the_first_failing_entry_over_all_blocks(self):
+        t, d = random_factor_path(2 * mcd._BLOCK_STEPS + 1, 4, seed=5)
+        t[0, 2, 3] = 0.5  # first block
+        t[-1, 1, 2] = 0.5  # last block, but first in row order
+        with pytest.raises(NotUnitLowerTriangular, match=r"entry \(2, 3\)"):
+            mcd_reconstruct(t, d)
 
     @pytest.mark.parametrize("entry, value", [((0, 2), 1e-300), ((1, 3), -0.5),
                                               ((0, 0), 2.0), ((3, 3), 1.0 + 4e-16),

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from scgarch import model
+from scgarch import mcd, model
 from scgarch.exceptions import (
     DegenerateSeries,
     DimensionMismatch,
     InvalidParameters,
+    NonPositiveDiagonal,
+    NotUnitLowerTriangular,
     PipelineError,
     TooManyPermutations,
 )
@@ -379,9 +381,9 @@ class TestFitCgarch:
         assert fit.t_path.strides[0] == 0 and not fit.t_path.flags.writeable
 
     def test_fit_working_set_stays_within_three_paths(self):
-        """A cgarch fit at n = 2048, p = 6 holds its covariance path and
-        less than two more arrays of its size: no copied factor path, no
-        inverse, and a GARCH grid evaluated in row blocks."""
+        """A cgarch fit at n = 2048, p = 6 peaks below three arrays of its
+        covariance path's size: no copied factor path, no inverse, and a
+        GARCH grid evaluated in row blocks."""
         panel = mixed_garch_panel(2048, 6, 0)
         tracemalloc.start()
         try:
@@ -667,6 +669,54 @@ class TestContainers:
         assert fit_model(panel, "cgarch").model == "cgarch"
         with pytest.raises(ValueError):
             fit_model(panel, "unknown")
+
+
+class TestFactoredPath:
+    """A fit keeps T and the variance paths; its covariance and correlation
+    paths are built from them a block of steps at a time."""
+
+    @pytest.mark.parametrize("model_name, ordering", [
+        ("scgarch", None), ("cgarch", None), ("scgarch", (2, 0, 3, 1)),
+        ("cgarch", (3, 1, 0, 2))])
+    def test_blocks_have_the_bits_of_the_whole_path(self, model_name, ordering):
+        n = 2 * mcd._BLOCK_STEPS + 37
+        fit = fit_model(mixed_garch_panel(n, 4, 2), model_name, ordering=ordering)
+        assert "cov_path" not in vars(fit)  # built on first access, then kept
+        sigmas = fit.cov_path.sigmas
+        assert fit.cov_path is fit.cov_path and sigmas.flags.c_contiguous
+        cuts = [0, 1, mcd._BLOCK_STEPS - 1, mcd._BLOCK_STEPS + 5, n]
+        for correlation, whole in ((False, sigmas), (True, fit.cov_path.correlations())):
+            path = fit.factored_path(correlation)
+            assert (path.n, path.p) == (n, 4)
+            blocks = [path.block(a, b) for a, b in zip(cuts, cuts[1:])]
+            assert all(b.flags.c_contiguous for b in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks).view(np.int64),
+                                          whole.view(np.int64))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_variance_that_is_not_positive_and_finite_is_rejected(self, monkeypatch,
+                                                                  value):
+        calls = []
+
+        def bad_second_fit(eps):
+            calls.append(1)
+            fit = garch_fit(eps)
+            if len(calls) == 2:
+                s2 = fit.sigma2_path.copy()
+                s2[7] = value
+                fit = replace(fit, sigma2_path=s2)
+            return fit
+
+        monkeypatch.setattr(model, "garch_fit", bad_second_fit)
+        with pytest.raises(NonPositiveDiagonal, match="series 3 .*positive and finite"):
+            fit_model(mixed_garch_panel(120, 3, 0), "cgarch", ordering=(0, 2, 1))
+
+    def test_factor_that_is_not_unit_lower_triangular_is_rejected(self):
+        fit = fit_model(mixed_garch_panel(120, 3, 0), "scgarch")
+        t_path = fit.t_path.copy()
+        t_path[5, 0, 2] = 1e-300
+        with pytest.raises(NotUnitLowerTriangular, match=r"entry \(1, 3\)"):
+            replace(fit, t_path=t_path)
 
 
 def test_repeated_variable_in_ordering_is_rejected():
